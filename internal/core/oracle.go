@@ -17,7 +17,7 @@ type plateau struct {
 }
 
 // buildOraclePlot runs Alg. 2: it counts neighbors per radius with the
-// batched self-join (one dual-tree traversal on indexes that support it,
+// batched self-join (staged dual-tree joins on indexes that support them,
 // gated per-point batched probes otherwise), extracts each point's
 // plateaus, and fills res.OracleX (1NN Distance = first-plateau length)
 // and res.OracleY (Group 1NN Distance = middle-plateau length).

@@ -26,8 +26,10 @@ import (
 //	           radii schedule is bit-identical.
 //	Step II  — per-shard self-join counts plus cross-shard dual-join
 //	           counts (index.CrossCounter) sum to each point's exact
-//	           global neighbor count per radius; gating (join.GateCounts)
-//	           is applied once, globally, after the sum.
+//	           global neighbor count per radius, staged by
+//	           join.StagedCounts: past the split radius only the points
+//	           not yet excused are counted, against every shard tree,
+//	           and gating (join.GateCounts) is applied once, globally.
 //	Step III — the cutoff derives from the merged Oracle plot; gel pairs
 //	           are per-shard self-joins plus cross-shard range probes
 //	           (pruned by shard.Set.MayTouch) feeding one union-find,
@@ -127,33 +129,36 @@ func runShardedSet[T any](items []T, set *shard.Set[T], trees []index.Index[T], 
 	}
 	inner := innerWorkers(p.Workers, k)
 
-	// Step II — exact global neighbor counts: each shard sums its own
-	// self-join counts with one cross-shard dual join per other shard,
-	// writing only its owned ids (disjoint, so shards race on nothing).
-	// Gating runs once over the summed matrix, exactly as the
-	// single-index join gates its own true counts.
-	counts := make([][]int, a)
-	for e := range counts {
-		counts[e] = make([]int, n)
-	}
-	parallel.For(p.Workers, k, func(s int) {
-		part := set.Parts[s]
-		var cs [][]int
-		if smc, ok := trees[s].(index.SelfMultiCounter); ok {
-			cs = smc.CountAllMulti(radii, inner)
-		} else {
-			cs = join.CrossMultiRadiusCounts(trees[s], part.Items, radii, inner)
+	// Step II — exact global neighbor counts, staged and gated by
+	// join.StagedCounts exactly as the single-index join stages its own.
+	// The self-join stage sums, per shard, its own self-join counts with
+	// one cross-shard dual join per other shard, writing only its owned
+	// ids (disjoint, so shards race on nothing); the later stages count
+	// the survivors against every shard tree.
+	counts := join.StagedCounts(items, trees, radii, p.MaxCardinality, true, p.Workers, func(radii []float64) [][]int {
+		sum := make([][]int, len(radii))
+		for e := range sum {
+			sum[e] = make([]int, n)
 		}
-		addCounts(counts, cs, part.IDs)
-		for t := 0; t < k; t++ {
-			if t == s {
-				continue
+		parallel.For(p.Workers, k, func(s int) {
+			part := set.Parts[s]
+			var cs [][]int
+			if smc, ok := trees[s].(index.SelfMultiCounter); ok {
+				cs = smc.CountAllMulti(radii, inner)
+			} else {
+				cs = join.CrossMultiRadiusCounts(trees[s], part.Items, radii, inner)
 			}
-			cc := join.CrossMultiRadiusCounts(trees[t], part.Items, radii, inner)
-			addCounts(counts, cc, part.IDs)
-		}
+			addCounts(sum, cs, part.IDs)
+			for t := 0; t < k; t++ {
+				if t == s {
+					continue
+				}
+				cc := join.CrossMultiRadiusCounts(trees[t], part.Items, radii, inner)
+				addCounts(sum, cc, part.IDs)
+			}
+		})
+		return sum
 	})
-	join.GateCounts(counts, n, p.MaxCardinality, true, p.Workers)
 	oracleFromCounts(counts, n, radii, p, res)
 
 	// Step III — gel pairs: within-shard self-joins plus cross-shard

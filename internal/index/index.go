@@ -19,7 +19,10 @@
 //     index against itself. All three bundled trees implement it natively
 //     (the slim-tree with covering-ball bounds, the kd-tree and R-tree
 //     with min/max box-distance bounds); join.SelfMultiRadiusCounts falls
-//     back to gated per-point probes for any other backend.
+//     back to gated per-point probes for any other backend. With a
+//     CrossCounter beside it, join.StagedCounts runs the self-join only
+//     up to a split radius and counts the rest for the points not yet
+//     excused.
 //   - CrossMultiCounter answers the Step IV bridge search — for every
 //     outlier, the first radius with an inlier neighbor — from ONE dual
 //     traversal of the inlier index against a throwaway tree over the
@@ -105,7 +108,9 @@ type CrossMultiCounter[T any] interface {
 // radius (all Step IV needs), this returns each query's full neighbor
 // count at every radius of an ascending schedule — the quantity the
 // shard-parallel pipeline sums across shards to reconstruct Step II's
-// exact global counts, and the quantity the incremental layer's
+// exact global counts, the quantity the staged Step II
+// (join.StagedCounts) takes past its split radius for the points not
+// yet excused, and the quantity the incremental layer's
 // segment-vs-segment merge adds and subtracts. Implementations
 // bulk-build a throwaway tree over the queries and classify query
 // subtrees against index subtrees wholesale, exactly like the self-join

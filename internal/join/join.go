@@ -16,11 +16,15 @@
 // walks the schedule in adaptive chunks — one traversal per chunk over
 // the still-relevant radius suffix — and stops once its count exceeds the
 // cap. When the query set is the indexed set itself and the index can
-// join itself (index.SelfMultiCounter), the whole counts matrix instead
-// comes from ONE dual-tree traversal of the index against itself; when
-// the query set is a second, disjoint set and the index can join it
-// (index.CrossMultiCounter), the Step IV bridge search likewise comes
-// from ONE dual-tree traversal against a throwaway tree over the queries.
+// join itself (index.SelfMultiCounter), Step II's counts instead come
+// from dual-tree joins in stages (StagedCounts): one traversal of the
+// index against itself over the radii up to a split radius read off a
+// sample, then one cross-set count join (index.CrossCounter) per later
+// radius for only the points not yet excused, so the sparse-focused
+// principle holds for the dual joins too. When the query set is a
+// second, disjoint set and the index can join it
+// (index.CrossMultiCounter), the Step IV bridge search comes from ONE
+// dual-tree traversal against a throwaway tree over the queries.
 //
 // Probes are read-only on the tree, so each join fans out across the
 // caller's worker budget (internal/parallel; ≤ 0 means all cores, 1 means
@@ -161,9 +165,8 @@ func MultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap 
 	for e := range q {
 		q[e] = make([]int, len(items))
 	}
-	probeHi := a // radii[:probeHi] need probing
-	if lastIsDiameter && a >= 2 {
-		probeHi = a - 1
+	probeHi := probedRadii(a, lastIsDiameter) // radii[:probeHi] need probing
+	if probeHi < a {
 		n := t.Size()
 		for i := range q[a-1] {
 			q[a-1][i] = n
@@ -215,22 +218,158 @@ func MultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap 
 // SelfMultiRadiusCounts is MultiRadiusCounts for the tree's OWN elements:
 // items must be exactly the indexed elements in insertion order. When the
 // index can join itself (index.SelfMultiCounter — the dual-tree traversal
-// every bundled backend now implements), the whole counts matrix comes
-// from ONE traversal of the tree against itself; other backends fall back
-// to the gated per-item batched probes. Both paths return the exact same matrix: the
-// dual join produces true counts everywhere (wholesale crediting makes
-// that cheap without the cap), and the excused-count carry-forward the
-// gating produces radius by radius is then applied as a post-pass — a
-// count is exact until the radius where it first exceeds cap (that value
-// included) and carried forward after — so results do not depend on which
-// path ran.
+// every bundled backend implements), the counts come from StagedCounts:
+// one dual self-join over the radii before the split index StagedCounts
+// picks from a sample, then one cross join per later radius for the
+// points not yet excused. Other backends fall back to the gated per-item
+// batched probes. Every path returns the matrix that one CountAllMulti
+// over the whole schedule followed by GateCounts returns.
 func SelfMultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int) [][]int {
 	smc, ok := t.(index.SelfMultiCounter)
 	if !ok || t.Size() != len(items) {
 		return MultiRadiusCounts(t, items, radii, cap, lastIsDiameter, workers)
 	}
-	q := smc.CountAllMulti(radii, workers)
-	GateCounts(q, t.Size(), cap, lastIsDiameter, workers)
+	return StagedCounts(items, []index.Index[T]{t}, radii, cap, lastIsDiameter, workers,
+		func(radii []float64) [][]int { return smc.CountAllMulti(radii, workers) })
+}
+
+// splitSample is how many evenly strided points the split decision of
+// StagedCounts counts.
+const splitSample = 32
+
+// StagedCounts computes Step II's gated counts over items, the disjoint
+// union of the elements the parts index (one part for a single index,
+// one per shard), given selfJoin(radii), which must return the TRUE
+// counts of every item, in items' order, at every radius of an ascending
+// schedule.
+//
+// Under the sparse-focused principle a count above cap excuses its item:
+// its counts at larger radii are never used (GateCounts carries the
+// excusing count forward instead). Most items are excused well before
+// the last probed radius — on the HTTP scene at 22,202 points, 77%
+// exceed the cap at r₉ and all but 124 by r₁₀, while the dual join
+// spends over half of its time on r₁₀ and beyond. So the counts come in
+// stages: selfJoin over radii[:k], then for each later probed radius
+// one cross join (index.CrossCounter) of the items still at or below
+// the cap (the survivors) against every part, summed. The split index k
+// is the radius after the first one at which at least half of an evenly
+// strided sample exceeds the cap, decided with single-radius probes of
+// the sample: the second-to-last probed radius first, and a binary
+// search below it only when half the sample exceeds the cap there. When
+// k would reach the last probed radius, or some part has no native
+// CrossCounter, it runs selfJoin over the whole schedule as one
+// traversal. Either way it returns the matrix that selfJoin(radii)
+// followed by GateCounts returns.
+func StagedCounts[T any](items []T, parts []index.Index[T], radii []float64, cap int, lastIsDiameter bool, workers int, selfJoin func(radii []float64) [][]int) [][]int {
+	k := splitIndex(items, parts, radii, cap, lastIsDiameter, workers)
+	return stagedCounts(items, parts, radii, cap, lastIsDiameter, workers, selfJoin, k)
+}
+
+// probedRadii is how many leading radii of an a-radius schedule the
+// gated counts probe: all of them, or all but the last when it is the
+// diameter (GateCounts pins that row to n).
+func probedRadii(a int, lastIsDiameter bool) int {
+	if lastIsDiameter && a >= 2 {
+		return a - 1
+	}
+	return a
+}
+
+// splitIndex is StagedCounts' choice of k; it returns probedRadii(...)
+// to mean one traversal, without staging.
+func splitIndex[T any](items []T, parts []index.Index[T], radii []float64, cap int, lastIsDiameter bool, workers int) int {
+	probeHi := probedRadii(len(radii), lastIsDiameter)
+	for _, t := range parts {
+		if _, ok := t.(index.CrossCounter[T]); !ok {
+			return probeHi
+		}
+	}
+	if probeHi < 3 {
+		return probeHi // staging needs 1 ≤ k < probeHi-1
+	}
+	m := min(splitSample, len(items))
+	above := make([]bool, m)
+	// halfAbove reports whether at least half the sample counts more
+	// than cap neighbors within radii[e].
+	halfAbove := func(e int) bool {
+		parallel.For(workers, m, func(j int) {
+			x := items[j*len(items)/m]
+			c := 0
+			for _, t := range parts {
+				c += t.RangeCount(x, radii[e])
+			}
+			above[j] = c > cap
+		})
+		hits := 0
+		for _, b := range above {
+			if b {
+				hits++
+			}
+		}
+		return 2*hits >= m
+	}
+	hi := probeHi - 2
+	if !halfAbove(hi) {
+		return probeHi
+	}
+	lo := 0
+	for lo < hi {
+		if mid := (lo + hi) / 2; halfAbove(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if k := hi + 1; k < probeHi-1 {
+		return k
+	}
+	return probeHi
+}
+
+// stagedCounts is StagedCounts at a given split index k ≥ 1; k at or
+// beyond the probed radii runs selfJoin over the whole schedule.
+func stagedCounts[T any](items []T, parts []index.Index[T], radii []float64, cap int, lastIsDiameter bool, workers int, selfJoin func(radii []float64) [][]int, k int) [][]int {
+	n := len(items)
+	probeHi := probedRadii(len(radii), lastIsDiameter)
+	if k >= probeHi {
+		q := selfJoin(radii)
+		GateCounts(q, n, cap, lastIsDiameter, workers)
+		return q
+	}
+	q := selfJoin(radii[:k])
+	for range radii[k:] {
+		q = append(q, make([]int, n))
+	}
+	var survivors []int
+	for i, c := range q[k-1] {
+		if c <= cap {
+			survivors = append(survivors, i)
+		}
+	}
+	// Rows from k on hold the survivors' true counts; everyone else's
+	// stay 0 until GateCounts carries their excusing count into them.
+	sub := make([]T, 0, len(survivors))
+	for e := k; e < probeHi && len(survivors) > 0; e++ {
+		sub = sub[:0]
+		for _, i := range survivors {
+			sub = append(sub, items[i])
+		}
+		row := q[e]
+		for _, t := range parts {
+			cs := t.(index.CrossCounter[T]).CountCrossMulti(sub, radii[e:e+1], workers)
+			for j, c := range cs[0] {
+				row[survivors[j]] += c
+			}
+		}
+		kept := survivors[:0]
+		for _, i := range survivors {
+			if row[i] <= cap {
+				kept = append(kept, i)
+			}
+		}
+		survivors = kept
+	}
+	GateCounts(q, n, cap, lastIsDiameter, workers)
 	return q
 }
 
@@ -241,18 +380,17 @@ func SelfMultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, 
 // diameter radius, and pinning keeps the paths in agreement even when
 // the diameter ESTIMATE falls marginally short of covering every pair —
 // and a count that exceeds cap is carried forward to every later probed
-// radius (the sparse-focused excusal). It is shared by every producer of
-// true counts that must match the gated probing semantics: the dual
-// self-join above, and the shard-parallel pipeline after summing its
-// per-shard and cross-shard true counts.
+// radius (the sparse-focused excusal). It is the one definition of the
+// gating rule for every producer of true counts: StagedCounts applies it
+// to the matrix its stages assemble, where a row holds true counts for
+// every item not yet excused before it, which is all the rule reads.
 func GateCounts(q [][]int, n, cap int, lastIsDiameter bool, workers int) {
 	a := len(q)
 	if a == 0 {
 		return
 	}
-	probeHi := a // rows that follow the gated semantics
-	if lastIsDiameter && a >= 2 {
-		probeHi = a - 1
+	probeHi := probedRadii(a, lastIsDiameter)
+	if probeHi < a {
 		for i := range q[a-1] {
 			q[a-1][i] = n
 		}

@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,97 @@ func TestLevenshteinMetricAxioms(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// levenshteinReference is the two-row implementation Levenshtein
+// replaced: the same recurrence over converted rune slices, with both
+// DP rows on the heap. It is the oracle the single-row form must match.
+func levenshteinReference(a, b string) float64 {
+	ra, rb := []rune(a), []rune(b)
+	if len(ra) == 0 {
+		return float64(len(rb))
+	}
+	if len(rb) == 0 {
+		return float64(len(ra))
+	}
+	prev := make([]int, len(rb)+1)
+	cur := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			sub := prev[j-1]
+			if ra[i-1] != rb[j-1] {
+				sub++
+			}
+			del := prev[j] + 1
+			ins := cur[j-1] + 1
+			m := sub
+			if del < m {
+				m = del
+			}
+			if ins < m {
+				m = ins
+			}
+			cur[j] = m
+		}
+		prev, cur = cur, prev
+	}
+	return float64(prev[len(rb)])
+}
+
+// randomWord draws a word of up to maxLen runes from a small alphabet
+// mixing ASCII, Latin-1, Greek, CJK and an astral-plane rune, so random
+// pairs share characters often enough for nontrivial alignments.
+func randomWord(rng *rand.Rand, maxLen int) string {
+	alphabet := []rune("abcdeéñçαβ漢字😀")
+	w := make([]rune, rng.Intn(maxLen+1))
+	for i := range w {
+		w[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return string(w)
+}
+
+func TestLevenshteinMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 3000; trial++ {
+		// Every 10th pair draws words well past the stack buffers.
+		maxLen := 12
+		if trial%10 == 0 {
+			maxLen = 3 * levenshteinStackRunes
+		}
+		a, b := randomWord(rng, maxLen), randomWord(rng, maxLen)
+		if trial%7 == 0 {
+			a = ""
+		}
+		if got, want := Levenshtein(a, b), levenshteinReference(a, b); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %v, reference = %v", a, b, got, want)
+		}
+		if got, want := Levenshtein(b, a), levenshteinReference(b, a); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %v, reference = %v", b, a, got, want)
+		}
+	}
+	// Invalid UTF-8 decodes to one U+FFFD per bad byte in both.
+	for _, p := range [][2]string{{"\xff\xfe", "\xff"}, {"a\xc3", "a\uFFFD"}, {"\xe6\xbc", "漢"}} {
+		if got, want := Levenshtein(p[0], p[1]), levenshteinReference(p[0], p[1]); got != want {
+			t.Errorf("Levenshtein(%q, %q) = %v, reference = %v", p[0], p[1], got, want)
+		}
+	}
+}
+
+func TestLevenshteinAllocationFree(t *testing.T) {
+	// b at exactly the stack limit; a is not bounded.
+	long := strings.Repeat("ab", levenshteinStackRunes/2)
+	longer := long + long
+	if n := testing.AllocsPerRun(100, func() {
+		Levenshtein("brzezinski", "breszinsky")
+		Levenshtein("漢字😀", "")
+		Levenshtein(longer, long)
+	}); n != 0 {
+		t.Errorf("Levenshtein allocates %v times per run, want 0", n)
 	}
 }
 

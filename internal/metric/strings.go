@@ -1,41 +1,46 @@
 package metric
 
+// levenshteinStackRunes is the longest second argument, in runes, that
+// Levenshtein handles in stack buffers; a longer one allocates. Words,
+// names and short identifiers fit.
+const levenshteinStackRunes = 64
+
 // Levenshtein returns the edit distance between two strings: the minimum
 // number of single-character insertions, deletions, and replacements needed
 // to transform a into b. It is a true metric on strings. The paper uses it
 // ("L-Edit") for the Last Names dataset.
+//
+// It runs the Wagner–Fischer recurrence over runes on a single DP row
+// indexed by b's runes. While b has at most levenshteinStackRunes runes,
+// that row and b's runes live on the stack, so the metric trees' millions
+// of calls per join allocate nothing.
 func Levenshtein(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return float64(len(rb))
+	var runeBuf [levenshteinStackRunes]rune
+	var rowBuf [levenshteinStackRunes + 1]int
+	rb := runeBuf[:0]
+	for _, r := range b {
+		rb = append(rb, r)
 	}
-	if len(rb) == 0 {
-		return float64(len(ra))
+	row := rowBuf[:0]
+	for j := 0; j <= len(rb); j++ {
+		row = append(row, j)
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			sub := prev[j-1]
-			if ra[i-1] != rb[j-1] {
+	i := 0
+	for _, ra := range a {
+		i++
+		// Going right, row[j+1] still holds the previous row's entry,
+		// row[j] already holds this row's, and diag the previous row's
+		// entry at j.
+		diag := row[0]
+		row[0] = i
+		for j, r := range rb {
+			sub := diag
+			if ra != r {
 				sub++
 			}
-			del := prev[j] + 1
-			ins := cur[j-1] + 1
-			m := sub
-			if del < m {
-				m = del
-			}
-			if ins < m {
-				m = ins
-			}
-			cur[j] = m
+			diag = row[j+1]
+			row[j+1] = min(sub, diag+1, row[j]+1)
 		}
-		prev, cur = cur, prev
 	}
-	return float64(prev[len(rb)])
+	return float64(row[len(rb)])
 }
