@@ -16,31 +16,19 @@ import (
 // tree's flat rows. Where the bridge join's minima let credited bounds
 // clamp later windows from above, counts can never terminate early — a
 // settled range [nh, hi) merely telescopes against an ancestor's
-// [hi, hi') so each pair's credited ranges tile exactly once.
-// All comparisons are on squared distances — no math.Sqrt anywhere.
+// [hi, hi') so each pair's credited ranges tile exactly once. A query
+// scanned against a small index subtree is credited once per non-empty
+// radius bucket of the scan (dualjoin.Acc.FoldCross), not once per close
+// pair. All comparisons are on squared distances — no math.Sqrt
+// anywhere.
 
 // crossCountCtx is one traversal unit's context: the index tree, the
 // throwaway query tree, the squared radius schedule and the unit's
-// accumulator (rows/stride cache acc.Point for the serial fast path,
-// exactly as in the self-join's dualCtx).
+// accumulator.
 type crossCountCtx struct {
 	in, out *Tree
 	radii2  []float64
 	acc     *dualjoin.Acc
-	rows    []int
-	stride  int
-}
-
-// creditQuery buckets cnt indexed points into query position p's row
-// over [b, nh).
-func (c *crossCountCtx) creditQuery(p int32, b, nh, cnt int) {
-	if rows := c.rows; rows != nil {
-		rp := rows[int(p)*c.stride:]
-		rp[b] += cnt
-		rp[nh] -= cnt
-		return
-	}
-	c.acc.CreditPos(p, b, nh, cnt)
 }
 
 // CountCrossMulti returns counts[e][i] = the number of indexed points
@@ -68,8 +56,7 @@ func (t *Tree) CountCrossMulti(queries [][]float64, radii []float64, workers int
 	}
 	return dualjoin.CountMatrix(a, len(queries), nodes, workers, len(subs)+len(pts),
 		func(u int, acc *dualjoin.Acc) {
-			c := crossCountCtx{in: t, out: out, radii2: radii2, acc: acc,
-				rows: acc.Point, stride: acc.Stride}
+			c := crossCountCtx{in: t, out: out, radii2: radii2, acc: acc}
 			if u < len(subs) {
 				c.countVisit(subs[u], 0, 0, a)
 			} else {
@@ -133,13 +120,14 @@ func (c *crossCountCtx) probeCount(p, I int32, lo, hi int) {
 	smin, smax := sqMinMaxDistToBox(q, ilo, ihi)
 	lo, nh := dualjoin.Window(c.radii2, smin, smax, lo, hi)
 	if nh < hi {
-		c.creditQuery(p, nh, hi, int(c.in.count[I]))
+		c.acc.CreditPos(p, nh, hi, int(c.in.count[I]))
 	}
 	if lo >= nh {
 		return
 	}
 	if cnt := int(c.in.count[I]); cnt <= scanCutoff {
-		c.scanCount(p, int(I), int(I)+cnt, lo, nh)
+		c.acc.FoldCross(c.out.pts, c.in.pts, c.in.dim, int(p), int(p)+1,
+			int(I), int(I)+cnt, c.radii2, lo, nh)
 		return
 	}
 	if d2 := kernel.SqDist(q, c.in.point(I)); d2 <= c.radii2[nh-1] {
@@ -147,37 +135,13 @@ func (c *crossCountCtx) probeCount(p, I int32, lo, hi int) {
 		for d2 > c.radii2[b] {
 			b++
 		}
-		c.creditQuery(p, b, nh, 1)
+		c.acc.CreditPos(p, b, nh, 1)
 	}
 	if l := c.in.left[I]; l >= 0 {
 		c.probeCount(p, l, lo, nh)
 	}
 	if r := c.in.right[I]; r >= 0 {
 		c.probeCount(p, r, lo, nh)
-	}
-}
-
-// scanCount resolves query slot p's point against every index point of
-// slots [first, last) for the ambiguous window [lo, nh) by block
-// kernels, crediting each close pair into p's row exactly as the
-// per-slot recursion would. Like the self-join's scanPointRange, no
-// quantized prefilter: the threshold is the ambiguous window's upper
-// edge, which the subtree's own box already straddles.
-func (c *crossCountCtx) scanCount(p int32, first, last, lo, nh int) {
-	q := c.out.point(p)
-	var d2 [scanCutoff]float64
-	n := last - first
-	kernel.Dists(d2[:n], q, c.in.pts, first, last)
-	r2 := c.radii2
-	thr := r2[nh-1]
-	for i := 0; i < n; i++ {
-		if v := d2[i]; v <= thr {
-			b := lo
-			for v > r2[b] {
-				b++
-			}
-			c.creditQuery(p, b, nh, 1)
-		}
 	}
 }
 
@@ -199,7 +163,7 @@ func (c *crossCountCtx) indexPointCount(q []float64, O int32, lo, hi int) {
 		for d2 > c.radii2[b] {
 			b++
 		}
-		c.creditQuery(O, b, nh, 1)
+		c.acc.CreditPos(O, b, nh, 1)
 	}
 	if l := c.out.left[O]; l >= 0 {
 		c.indexPointCount(q, l, lo, nh)

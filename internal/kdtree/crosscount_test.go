@@ -106,3 +106,14 @@ func TestCountCrossMultiEdges(t *testing.T) {
 		t.Errorf("empty tree: got %v, want zero counts", got)
 	}
 }
+
+// TestCountCrossMultiFoldShapes is the cross-join twin of
+// TestCountAllMultiFoldShapes: a 40-radius schedule with repeats and
+// duplicate-only subtrees among both the indexed points and the
+// queries.
+func TestCountCrossMultiFoldShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	in := foldShapePoints(rng, 3)
+	queries := append(foldShapePoints(rng, 3)[:300], in[:150]...)
+	assertCrossCountsMatch(t, "foldShapes", New(in), in, queries, foldShapeRadii(rng))
+}

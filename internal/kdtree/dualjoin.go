@@ -14,8 +14,12 @@ import (
 // boxes bracket every point pair under them, so whole blocks of pairs are
 // credited (or discarded) wholesale, and only pairs straddling some
 // radius descend toward point-level distances. The join is symmetric, so
-// unordered subtree pairs are visited once and credited both ways. All
-// comparisons are on squared distances — no math.Sqrt anywhere.
+// unordered subtree pairs are visited once and every credit reaches both
+// sides: wholesale credits go in pairs, and the small-range scans tally
+// their close pairs per point and radius bucket and credit each point of
+// both ranges once per non-empty bucket (dualjoin.Acc.FoldPairs /
+// FoldSelf). All comparisons are on squared distances — no math.Sqrt
+// anywhere.
 //
 // The arena layout makes the crediting flat: a kd slot IS both a node
 // index and an element position (preorder), so point credits address
@@ -23,8 +27,8 @@ import (
 // contiguous preorder range [p, p+count[p]). A kd slot carries its own
 // point besides two subtrees, so the decomposition of an ambiguous pair
 // has three shapes: subtree-vs-subtree (symVisit), point-vs-subtree
-// (pointVisit) and point-vs-point (inline). The accumulator, scheduling
-// and merge machinery is internal/dualjoin's.
+// (pointVisit) and point-vs-point (inline). The accumulator, leaf-scan
+// fold, scheduling and merge machinery is internal/dualjoin's.
 
 // dualCtx is one traversal unit's context: the tree, the squared radius
 // schedule and the unit's accumulator.
@@ -32,26 +36,6 @@ type dualCtx struct {
 	t      *Tree
 	radii2 []float64
 	acc    *dualjoin.Acc
-	// rows/stride cache acc.Point: in direct (serial) mode the hottest
-	// credit sites write the two row adds in place — the accumulator
-	// method with its buffered fallback is beyond the inlining budget.
-	rows   []int
-	stride int
-}
-
-// creditPair buckets one close point pair, crediting both slots.
-func (c *dualCtx) creditPair(p, q int32, b, nh int) {
-	if rows := c.rows; rows != nil {
-		rp := rows[int(p)*c.stride:]
-		rp[b]++
-		rp[nh]--
-		rq := rows[int(q)*c.stride:]
-		rq[b]++
-		rq[nh]--
-		return
-	}
-	c.acc.CreditPos(p, b, nh, 1)
-	c.acc.CreditPos(q, b, nh, 1)
 }
 
 // CountAllMulti returns counts[e][id] = the number of indexed points
@@ -73,7 +57,7 @@ func (t *Tree) CountAllMulti(radii []float64, workers int) [][]int {
 	}
 	return dualjoin.CountMatrix(a, t.size, t.size, workers, len(units),
 		func(u int, acc *dualjoin.Acc) {
-			c := dualCtx{t: t, radii2: radii2, acc: acc, rows: acc.Point, stride: acc.Stride}
+			c := dualCtx{t: t, radii2: radii2, acc: acc}
 			units[u](&c)
 		},
 		func(node int32) (int32, int32) { return node, node + t.count[node] },
@@ -113,15 +97,8 @@ func (t *Tree) seedUnits() []func(*dualCtx) {
 		for _, q := range pts[i+1:] {
 			q := q
 			units = append(units, func(c *dualCtx) {
-				a := len(c.radii2)
-				d2 := kernel.SqDist(c.t.point(p), c.t.point(q))
-				b := 0
-				for b < a && d2 > c.radii2[b] {
-					b++
-				}
-				if b < a {
-					c.creditPair(p, q, b, a)
-				}
+				c.acc.FoldPairs(c.t.pts, c.t.dim, int(p), int(p)+1, int(q), int(q)+1,
+					c.radii2, 0, len(c.radii2))
 			})
 		}
 	}
@@ -172,35 +149,6 @@ func (t *Tree) boxDiag2(p int32) float64 {
 	return kernel.SqBoxDiag(lo, hi)
 }
 
-// scanPointRange resolves slot p's point against every point of slots
-// [first, last) for the ambiguous window [lo, nh) by block kernels,
-// crediting each close pair both ways exactly as the per-slot recursion
-// would. No quantized prefilter here: the threshold is the ambiguous
-// window's UPPER edge, which the subtree's own box already straddles,
-// so per-block summary bounds almost never prune and their cost rivals
-// the exact arithmetic they'd save (bypassing them halved the 10k x 8d
-// sweep cell).
-func (c *dualCtx) scanPointRange(p int32, first, last, lo, nh int) {
-	t := c.t
-	q := t.point(p)
-	// Callers bound the range by scanCutoff, so one kernel call fills
-	// every distance of the scanned subtree into a stack buffer.
-	var d2 [scanCutoff]float64
-	n := last - first
-	kernel.Dists(d2[:n], q, t.pts, first, last)
-	r2 := c.radii2
-	thr := r2[nh-1]
-	for i := 0; i < n; i++ {
-		if v := d2[i]; v <= thr {
-			b := lo
-			for v > r2[b] {
-				b++
-			}
-			c.creditPair(p, int32(first+i), b, nh)
-		}
-	}
-}
-
 // selfVisit classifies the pair of subtree A with itself for the radius
 // window [lo, hi): radii at and above hi have already been credited with
 // the whole subtree by an ancestor pair. Self-pairs put the minimum
@@ -222,12 +170,7 @@ func (c *dualCtx) selfVisit(A int32, lo, hi int) {
 		// Small ambiguous subtree: resolve every unordered pair within
 		// its contiguous preorder range by block kernels — the self-pairs
 		// (d = 0) lie within every open radius.
-		for i := int(A); i < int(A)+cnt; i++ {
-			c.acc.CreditPos(int32(i), lo, nh, 1)
-			if i+1 < int(A)+cnt {
-				c.scanPointRange(int32(i), i+1, int(A)+cnt, lo, nh)
-			}
-		}
+		c.acc.FoldSelf(t.pts, t.dim, int(A), int(A)+cnt, c.radii2, lo, nh)
 		return
 	}
 	// Ambiguous radii [lo, nh): decompose into A's own point against
@@ -251,8 +194,8 @@ func (c *dualCtx) selfVisit(A int32, lo, hi int) {
 // symVisit classifies the unordered pair of DISJOINT subtrees (A, B) for
 // the radius window [lo, hi): radii below lo are already known to
 // separate the two boxes, radii at and above hi have been credited by an
-// ancestor pair. Every credit goes both ways, so each unordered pair is
-// traversed exactly once.
+// ancestor pair. Every credit reaches both sides, so each unordered pair
+// is traversed exactly once.
 func (c *dualCtx) symVisit(A, B int32, lo, hi int) {
 	t := c.t
 	alo, ahi := t.box(A)
@@ -275,9 +218,7 @@ func (c *dualCtx) symVisit(A, B int32, lo, hi int) {
 	if ca, cb := int(t.count[A]), int(t.count[B]); ca <= pairScanCutoff && cb <= pairScanCutoff {
 		// Both sides small: resolve the cross pairs of the two contiguous
 		// preorder ranges directly.
-		for i := int(A); i < int(A)+ca; i++ {
-			c.scanPointRange(int32(i), int(B), int(B)+cb, lo, nh)
-		}
+		c.acc.FoldPairs(t.pts, t.dim, int(A), int(A)+ca, int(B), int(B)+cb, c.radii2, lo, nh)
 		return
 	}
 	// Descend the side with the larger box; ties split A, keeping the
@@ -318,7 +259,7 @@ func (c *dualCtx) pointVisit(p, B int32, lo, hi int) {
 		return
 	}
 	if cnt := int(t.count[B]); cnt <= scanCutoff {
-		c.scanPointRange(p, int(B), int(B)+cnt, lo, nh)
+		c.acc.FoldPairs(t.pts, t.dim, int(p), int(p)+1, int(B), int(B)+cnt, c.radii2, lo, nh)
 		return
 	}
 	if d2 := kernel.SqDist(q, t.point(B)); d2 <= c.radii2[nh-1] {
@@ -326,7 +267,8 @@ func (c *dualCtx) pointVisit(p, B int32, lo, hi int) {
 		for d2 > c.radii2[b] {
 			b++
 		}
-		c.creditPair(p, B, b, nh)
+		c.acc.CreditPos(p, b, nh, 1)
+		c.acc.CreditPos(B, b, nh, 1)
 	}
 	if l := t.left[B]; l >= 0 {
 		c.pointVisit(p, l, lo, nh)

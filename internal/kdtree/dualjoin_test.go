@@ -102,3 +102,12 @@ func TestCountAllMultiRepeatable(t *testing.T) {
 		}
 	}
 }
+
+// TestCountAllMultiFoldShapes covers the shapes the leaf-scan fold
+// tallies over: a 40-radius schedule with repeated radii and small
+// subtrees made entirely of duplicate points.
+func TestCountAllMultiFoldShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	pts := foldShapePoints(rng, 3)
+	assertCountAllMatches(t, "foldShapes", New(pts), pts, foldShapeRadii(rng))
+}

@@ -21,6 +21,36 @@ func randRadii(rng *rand.Rand, a float64) []float64 {
 	return radii
 }
 
+// foldShapeRadii returns a 40-radius ascending schedule from tiny to
+// beyond the diameter of randPoints' cube, with runs of repeated radii —
+// long windows for the dual joins' leaf-scan tallies.
+func foldShapeRadii(rng *rand.Rand) []float64 {
+	radii := make([]float64, 40)
+	r := 0.05
+	for e := range radii {
+		radii[e] = r
+		if rng.Intn(5) > 0 {
+			r *= 1.25
+		}
+	}
+	return radii
+}
+
+// foldShapePoints returns uniform points plus three clusters of 220
+// copies of one point each, so every fanout packs some leaves (and the
+// kd-tree some small subtrees) entirely of duplicates.
+func foldShapePoints(rng *rand.Rand, dim int) [][]float64 {
+	pts := randPoints(rng, 200, dim)
+	for c := 0; c < 3; c++ {
+		p := randPoints(rng, 1, dim)[0]
+		for i := 0; i < 220; i++ {
+			pts = append(pts, append([]float64(nil), p...))
+		}
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	return pts
+}
+
 // TestRangeCountMultiMatchesRepeatedRangeCount is the batched-counting
 // contract: one traversal must return exactly [RangeCount(r) for r in
 // radii].

@@ -16,6 +16,9 @@ import (
 //   - SqDist against metric.SquaredEuclidean on every slot;
 //   - CountRange, with and without a freeze-time summary, against the
 //     brute-force per-slot count over a fuzzed subrange;
+//   - Dists over that whole subrange in one call — at an arbitrary
+//     offset, the way the dual joins' leaf scans call it — against the
+//     oracle on every slot;
 //   - RangeBlock's chunks against the oracle, and that a pruned chunk
 //     only ever hides distances beyond the threshold (the prefilter's
 //     conservativeness guarantee);
@@ -93,6 +96,13 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		if got := CountRange(nil, q, pts, first, last, r2); got != want {
 			t.Fatalf("dim %d [%d,%d) r2 %v: CountRange(nil) = %d, brute = %d", dim, first, last, r2, got, want)
+		}
+		dists := make([]float64, last-first)
+		Dists(dists, q, pts, first, last)
+		for i, got := range dists {
+			if oracle := metric.SquaredEuclidean(q, pts[(first+i)*dim:(first+i+1)*dim]); got != oracle {
+				t.Fatalf("dim %d [%d,%d) slot %d: Dists = %v, oracle = %v", dim, first, last, first+i, got, oracle)
+			}
 		}
 
 		var d2 [Block]float64

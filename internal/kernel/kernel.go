@@ -8,8 +8,8 @@
 // per dimension, the query reloaded from memory every time — and instead
 // stream the range through a tight kernel: the query hoisted into locals,
 // the coordinate block sliced once per chunk of Block points, and the
-// dimension loop unrolled for the common vector widths (d = 2, 4, 8) with
-// a generic fallback for any other d.
+// dimension loop unrolled for the common vector widths (d = 2, 3, 4, 8)
+// with a generic fallback for any other d.
 //
 // Exactness contract: every kernel accumulates each point's squared
 // distance in ascending dimension order through the SAME statement shape
@@ -41,6 +41,14 @@ func SqDist(q, p []float64) float64 {
 		d := q[0] - p[0]
 		s := d * d
 		d = q[1] - p[1]
+		s += d * d
+		return s
+	case 3:
+		d := q[0] - p[0]
+		s := d * d
+		d = q[1] - p[1]
+		s += d * d
+		d = q[2] - p[2]
 		s += d * d
 		return s
 	case 4:
@@ -108,6 +116,18 @@ func Dists(d2 []float64, q, pts []float64, first, last int) {
 			d := q0 - c[2*i]
 			s := d * d
 			d = q1 - c[2*i+1]
+			s += d * d
+			d2[i] = s
+		}
+	case 3:
+		q0, q1, q2 := q[0], q[1], q[2]
+		c := pts[at*3 : (at+n)*3]
+		for i := 0; i < n; i++ {
+			d := q0 - c[3*i]
+			s := d * d
+			d = q1 - c[3*i+1]
+			s += d * d
+			d = q2 - c[3*i+2]
 			s += d * d
 			d2[i] = s
 		}

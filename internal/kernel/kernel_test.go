@@ -41,8 +41,9 @@ func TestSqDistMatchesOracle(t *testing.T) {
 
 // TestRangeBlockMatchesOracle checks that the block kernels produce
 // bit-identical distances for every slot of arbitrary [first, last)
-// ranges, and that a pruned chunk only ever hides distances beyond the
-// threshold.
+// ranges — chunked by RangeBlock, and in one Dists call over the whole
+// range as the dual joins' leaf scans make it — and that a pruned chunk
+// only ever hides distances beyond the threshold.
 func TestRangeBlockMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, dim := range testDims {
@@ -71,6 +72,13 @@ func TestRangeBlockMatchesOracle(t *testing.T) {
 					}
 				}
 				at += n
+			}
+			dists := make([]float64, last-first)
+			Dists(dists, q, pts, first, last)
+			for i, got := range dists {
+				if want := metric.SquaredEuclidean(q, pts[(first+i)*dim:(first+i+1)*dim]); got != want {
+					t.Fatalf("dim %d [%d,%d) slot %d: Dists = %v, oracle = %v", dim, first, last, first+i, got, want)
+				}
 			}
 		}
 	}

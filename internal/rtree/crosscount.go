@@ -1,9 +1,6 @@
 package rtree
 
-import (
-	"mccatch/internal/dualjoin"
-	"mccatch/internal/kernel"
-)
+import "mccatch/internal/dualjoin"
 
 // This file implements the cross-set dual-tree COUNT join for the
 // R-tree (index.CrossCounter): for every query of a second point set,
@@ -18,26 +15,14 @@ import (
 // resolve by block kernels over the packed point blocks, without the
 // quantized prefilter — as in the self-join, the threshold is the
 // ambiguous window's upper edge, which the node-level bounds already
-// straddle. All comparisons are on squared distances.
+// straddle — and each query is credited once per non-empty radius
+// bucket of the leaf pair (dualjoin.Acc.FoldCross), not once per close
+// pair. All comparisons are on squared distances.
 
 type crossCountCtx struct {
 	in, out *Tree
 	radii2  []float64
 	acc     *dualjoin.Acc
-	rows    []int
-	stride  int
-}
-
-// creditQuery buckets cnt indexed points into query position p's row
-// over [b, nh).
-func (c *crossCountCtx) creditQuery(p int32, b, nh, cnt int) {
-	if rows := c.rows; rows != nil {
-		rp := rows[int(p)*c.stride:]
-		rp[b] += cnt
-		rp[nh] -= cnt
-		return
-	}
-	c.acc.CreditPos(p, b, nh, cnt)
 }
 
 // CountCrossMulti returns counts[e][i] = the number of indexed points
@@ -69,8 +54,7 @@ func (t *Tree) CountCrossMulti(queries [][]float64, radii []float64, workers int
 	}
 	return dualjoin.CountMatrix(a, len(queries), nodes, workers, len(outSeeds)*len(inSeeds),
 		func(u int, acc *dualjoin.Acc) {
-			c := crossCountCtx{in: t, out: out, radii2: radii2, acc: acc,
-				rows: acc.Point, stride: acc.Stride}
+			c := crossCountCtx{in: t, out: out, radii2: radii2, acc: acc}
 			c.countVisit(outSeeds[u/len(inSeeds)], inSeeds[u%len(inSeeds)], 0, a)
 		},
 		func(node int32) (int32, int32) { return out.elemFirst[node], out.elemLast[node] },
@@ -96,10 +80,9 @@ func (c *crossCountCtx) countVisit(O, I int32, lo, hi int) {
 		return
 	}
 	if c.out.leaf[O] && c.in.leaf[I] {
-		iFirst, iLast := int(c.in.elemFirst[I]), int(c.in.elemLast[I])
-		for i := c.out.elemFirst[O]; i < c.out.elemLast[O]; i++ {
-			c.scanCount(i, iFirst, iLast, lo, nh)
-		}
+		c.acc.FoldCross(c.out.pts, c.in.pts, c.in.dim,
+			int(c.out.elemFirst[O]), int(c.out.elemLast[O]),
+			int(c.in.elemFirst[I]), int(c.in.elemLast[I]), c.radii2, lo, nh)
 		return
 	}
 	// Descend the internal side — the one with the larger box when both
@@ -113,33 +96,5 @@ func (c *crossCountCtx) countVisit(O, I int32, lo, hi int) {
 	}
 	for ch := c.out.childFirst[O]; ch < c.out.childLast[O]; ch++ {
 		c.countVisit(ch, I, lo, nh)
-	}
-}
-
-// scanCount resolves the query at packed position pos against the index
-// points of positions [first, last) for the ambiguous window [lo, nh)
-// by block kernels, crediting each close pair into the query's row
-// exactly as a per-point probe would.
-func (c *crossCountCtx) scanCount(pos int32, first, last, lo, nh int) {
-	q := c.out.point(pos)
-	in := c.in
-	var d2 [leafScanChunk]float64
-	r2 := c.radii2
-	thr := r2[nh-1]
-	for at := first; at < last; at += leafScanChunk {
-		n := last - at
-		if n > leafScanChunk {
-			n = leafScanChunk
-		}
-		kernel.Dists(d2[:n], q, in.pts, at, at+n)
-		for i := 0; i < n; i++ {
-			if v := d2[i]; v <= thr {
-				b := lo
-				for v > r2[b] {
-					b++
-				}
-				c.creditQuery(pos, b, nh, 1)
-			}
-		}
 	}
 }

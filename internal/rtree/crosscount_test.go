@@ -102,3 +102,17 @@ func TestCountCrossMultiEdges(t *testing.T) {
 		t.Errorf("empty tree: got %v, want zero counts", got)
 	}
 }
+
+// TestCountCrossMultiFoldShapes is the cross-join twin of
+// TestCountAllMultiFoldShapes: wide leaves on both trees, a 40-radius
+// schedule with repeats, and duplicate-only leaves among both the
+// indexed points and the queries.
+func TestCountCrossMultiFoldShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	in := foldShapePoints(rng, 3)
+	queries := append(foldShapePoints(rng, 3)[:300], in[:150]...)
+	radii := foldShapeRadii(rng)
+	for _, fanout := range []int{100, 4, 0} {
+		assertCrossCountsMatch(t, fmt.Sprintf("fanout%d", fanout), New(in, fanout), in, queries, radii)
+	}
+}

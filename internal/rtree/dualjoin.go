@@ -13,10 +13,13 @@ import (
 // credited (or discarded) wholesale; only pairs straddling some radius
 // descend, bottoming out in leaf-vs-leaf scans over the packed point
 // block. The join is symmetric, so unordered node pairs are visited once
-// and credited both ways. All comparisons are on squared distances — no
-// math.Sqrt anywhere. Credits are flat: point credits address the packed
-// element positions, and a wholesale subtree credit is the slot's
-// contiguous element range. The accumulator, scheduling and merge
+// and their wholesale credits go both ways; a leaf scan tallies its
+// close pairs per point and radius bucket and credits each point of
+// both leaves once per non-empty bucket (dualjoin.Acc.FoldPairs /
+// FoldSelf). All comparisons are on squared distances — no math.Sqrt
+// anywhere. Credits are flat: point credits address the packed element
+// positions, and a wholesale subtree credit is the slot's contiguous
+// element range. The accumulator, leaf-scan fold, scheduling and merge
 // machinery is internal/dualjoin's.
 
 // boxDiag2 is the squared diagonal of slot s's MBR — the largest squared
@@ -30,59 +33,6 @@ type dualCtx struct {
 	t      *Tree
 	radii2 []float64
 	acc    *dualjoin.Acc
-	// rows/stride cache acc.Point: in direct (serial) mode the leaf-scan
-	// credits below write the two row adds in place — the method call
-	// with its buffered fallback is beyond the inlining budget, and these
-	// scans are the join's innermost loop.
-	rows   []int
-	stride int
-}
-
-// creditPair buckets one close point pair, crediting both positions.
-func (c *dualCtx) creditPair(i, j int32, b, nh int) {
-	if rows := c.rows; rows != nil {
-		ri := rows[int(i)*c.stride:]
-		ri[b]++
-		ri[nh]--
-		rj := rows[int(j)*c.stride:]
-		rj[b]++
-		rj[nh]--
-		return
-	}
-	c.acc.CreditPos(i, b, nh, 1)
-	c.acc.CreditPos(j, b, nh, 1)
-}
-
-// scanPointRange resolves the point at packed position p against every
-// point of positions [first, last) for the ambiguous window [lo, nh) by
-// block kernels, crediting each close pair both ways exactly as the
-// per-point loop would. No quantized prefilter here: the threshold is
-// the ambiguous window's UPPER edge — the node-level box bounds already
-// placed the pair blocks astride it, so per-block summary bounds almost
-// never prune and their cost rivals the exact arithmetic they'd save
-// (profiled at ~2x on the 10k x 8d sweep).
-func (c *dualCtx) scanPointRange(p int32, first, last, lo, nh int) {
-	t := c.t
-	q := t.point(p)
-	var d2 [leafScanChunk]float64
-	r2 := c.radii2
-	thr := r2[nh-1]
-	for at := first; at < last; at += leafScanChunk {
-		n := last - at
-		if n > leafScanChunk {
-			n = leafScanChunk
-		}
-		kernel.Dists(d2[:n], q, t.pts, at, at+n)
-		for i := 0; i < n; i++ {
-			if v := d2[i]; v <= thr {
-				b := lo
-				for v > r2[b] {
-					b++
-				}
-				c.creditPair(p, int32(at+i), b, nh)
-			}
-		}
-	}
 }
 
 // CountAllMulti returns counts[e][id] = the number of indexed points
@@ -116,7 +66,7 @@ func (t *Tree) CountAllMulti(radii []float64, workers int) [][]int {
 	}
 	return dualjoin.CountMatrix(a, t.sizeN, len(t.leaf), workers, len(units),
 		func(u int, acc *dualjoin.Acc) {
-			c := dualCtx{t: t, radii2: radii2, acc: acc, rows: acc.Point, stride: acc.Stride}
+			c := dualCtx{t: t, radii2: radii2, acc: acc}
 			switch {
 			case units[u].i < 0:
 				c.selfVisit(0, 0, a)
@@ -147,13 +97,7 @@ func (c *dualCtx) selfVisit(A int32, lo, hi int) {
 		return
 	}
 	if t.leaf[A] {
-		last := int(t.elemLast[A])
-		for i := int(t.elemFirst[A]); i < last; i++ {
-			c.acc.CreditPos(int32(i), lo, nh, 1) // self-pair: d = 0
-			if i+1 < last {
-				c.scanPointRange(int32(i), i+1, last, lo, nh)
-			}
-		}
+		c.acc.FoldSelf(t.pts, t.dim, int(t.elemFirst[A]), int(t.elemLast[A]), c.radii2, lo, nh)
 		return
 	}
 	for i := t.childFirst[A]; i < t.childLast[A]; i++ {
@@ -165,7 +109,8 @@ func (c *dualCtx) selfVisit(A int32, lo, hi int) {
 }
 
 // symVisit classifies the unordered pair of DISJOINT subtrees (A, B) for
-// the radius window [lo, hi). Every credit goes both ways, so each
+// the radius window [lo, hi). Every credit reaches both sides — wholesale
+// node credits in pairs, leaf scans through the fold — so each
 // unordered pair is traversed exactly once.
 func (c *dualCtx) symVisit(A, B int32, lo, hi int) {
 	t := c.t
@@ -187,10 +132,8 @@ func (c *dualCtx) symVisit(A, B int32, lo, hi int) {
 		return
 	}
 	if t.leaf[A] && t.leaf[B] {
-		bFirst, bLast := int(t.elemFirst[B]), int(t.elemLast[B])
-		for i := t.elemFirst[A]; i < t.elemLast[A]; i++ {
-			c.scanPointRange(i, bFirst, bLast, lo, nh)
-		}
+		c.acc.FoldPairs(t.pts, t.dim, int(t.elemFirst[A]), int(t.elemLast[A]),
+			int(t.elemFirst[B]), int(t.elemLast[B]), c.radii2, lo, nh)
 		return
 	}
 	// Descend the internal side — the one with the larger box when both

@@ -101,3 +101,16 @@ func TestCountAllMultiRepeatable(t *testing.T) {
 		}
 	}
 }
+
+// TestCountAllMultiFoldShapes covers the shapes the leaf-scan fold
+// tallies over: leaves wider than leafScanChunk (fanout 100), whose
+// scans outgrow the fold's initial scratch, a 40-radius schedule with
+// repeated radii, and leaves made entirely of duplicate points.
+func TestCountAllMultiFoldShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	pts := foldShapePoints(rng, 3)
+	radii := foldShapeRadii(rng)
+	for _, fanout := range []int{100, 4, 0} {
+		assertCountAllMatches(t, fmt.Sprintf("fanout%d", fanout), New(pts, fanout), pts, radii)
+	}
+}

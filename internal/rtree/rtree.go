@@ -33,10 +33,12 @@ import (
 // DefaultFanout is the default number of children per node.
 const DefaultFanout = 16
 
-// leafScanChunk is the stack-buffer granularity of the no-prefilter leaf
-// scans: kernel.Dists fills up to this many squared distances per call,
-// amortizing the dimension dispatch over whole (fanout-sized) leaves
-// while keeping the scratch on the stack for any runtime fanout.
+// leafScanChunk is the stack-buffer granularity of the single-query
+// no-prefilter leaf scan (scanBuckets): kernel.Dists fills up to this
+// many squared distances per call, amortizing the dimension dispatch
+// over whole (fanout-sized) leaves while keeping the scratch on the
+// stack for any runtime fanout. The dual joins' leaf scans size theirs
+// from the leaf instead (dualjoin's folds).
 const leafScanChunk = 64
 
 // buildNode is the transient pointer shape the STR construction works
