@@ -228,6 +228,23 @@ func BenchmarkPipelineStrings(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineStringsSerial is BenchmarkPipelineStrings on one
+// worker, so its allocs/op do not depend on the runner's cores. CI pins
+// them. The slim-tree's prepared Levenshtein patterns live on the
+// traversal's stack: one allocated per preparation multiplies the count
+// here, while internal/slimtree's TestLevenshteinPreparedAllocations
+// pins the per-unit and per-probe cases exactly.
+func BenchmarkPipelineStringsSerial(b *testing.B) {
+	b.ReportAllocs()
+	d := data.LastNames(800, 12, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mccatch.RunStrings(d.Words, mccatch.WithWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Substrate micro-benchmarks ---
 
 func randPoints(n, dim int) [][]float64 {

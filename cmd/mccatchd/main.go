@@ -78,7 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newServer(*addr, handler)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -96,6 +96,26 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
+}
+
+// The daemon's connection timeouts. readHeaderTimeout cuts off a client
+// that stalls while sending its request headers (slowloris), and
+// idleTimeout closes keep-alive connections left unused. There is no
+// write timeout: a full /v1/detect on a large collection legitimately
+// runs for minutes before its reply is written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the daemon's HTTP server for handler on addr.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // conflictingFlags rejects combinations where one flag would be silently

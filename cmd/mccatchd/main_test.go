@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -135,5 +138,69 @@ func TestBuildHandlerMutablePreload(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wrong-dim score: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestServerTimeouts pins the daemon's connection timeouts and shows
+// that a client stalling mid-header is cut off while a complete request
+// on the same server is answered. The stall check shortens the header
+// timeout so the test runs in well under a second; the production value
+// is the constant asserted first.
+func TestServerTimeouts(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { _, _ = io.WriteString(w, "ok") })
+	srv := newServer("127.0.0.1:0", mux)
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts: header %v, idle %v; want %v, %v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("a long /v1/detect needs no write or read deadline, got write %v, read %v", srv.WriteTimeout, srv.ReadTimeout)
+	}
+	srv.ReadHeaderTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != "ok" {
+		t.Fatalf("complete request: status %d, body %q", resp.StatusCode, body)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Headers without the blank line that ends them, then silence.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: mccatchd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 408 before closing; either way the
+	// connection must end, not wait on the client.
+	reply, err := io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 408") {
+		t.Fatalf("stalled client got %q, want the connection closed", reply)
 	}
 }

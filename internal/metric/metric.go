@@ -5,6 +5,12 @@
 // Levenshtein edit distance for strings, a Hausdorff distance for point
 // sets (fingerprint ridges), and a graph dissimilarity for skeleton graphs,
 // plus the per-space transformation costs of the paper's Def. 7.
+//
+// Levenshtein runs a bit-parallel recurrence (Myers 1999, Hyyrö 2003) on
+// ASCII strings whose shorter side fits one 64-bit word, and a rune DP
+// otherwise. Its LevenshteinPattern prepares one string for many
+// evaluations; internal/slimtree uses it when a tree runs
+// metric.Levenshtein itself.
 package metric
 
 import "math"

@@ -116,9 +116,10 @@ func TestLevenshteinMetricAxioms(t *testing.T) {
 	}
 }
 
-// levenshteinReference is the two-row implementation Levenshtein
-// replaced: the same recurrence over converted rune slices, with both
-// DP rows on the heap. It is the oracle the single-row form must match.
+// levenshteinReference is the two-row rune DP: the Wagner–Fischer
+// recurrence over converted rune slices, with both DP rows on the heap.
+// It is the oracle that Levenshtein's single-row DP, its bit-parallel
+// form and LevenshteinPattern must all match.
 func levenshteinReference(a, b string) float64 {
 	ra, rb := []rune(a), []rune(b)
 	if len(ra) == 0 {
@@ -194,17 +195,104 @@ func TestLevenshteinMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLevenshteinASCIIMatchesReference runs random ASCII pairs over a
+// five-letter alphabet on both sides of the 64-byte pattern limit, one
+// shot and through one LevenshteinPattern reset for every pair, against
+// levenshteinReference.
+func TestLevenshteinASCIIMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	word := func() string {
+		w := make([]byte, rng.Intn(80))
+		for i := range w {
+			w[i] = "abcde"[rng.Intn(5)]
+		}
+		return string(w)
+	}
+	var p LevenshteinPattern
+	for trial := 0; trial < 2000; trial++ {
+		a, b := word(), word()
+		want := levenshteinReference(a, b)
+		if got := Levenshtein(a, b); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %v, reference = %v", a, b, got, want)
+		}
+		p.Reset(a)
+		if got := p.Dist(b); got != want {
+			t.Fatalf("pattern %q: Dist(%q) = %v, reference = %v", a, b, got, want)
+		}
+	}
+}
+
 func TestLevenshteinAllocationFree(t *testing.T) {
 	// b at exactly the stack limit; a is not bounded.
 	long := strings.Repeat("ab", levenshteinStackRunes/2)
 	longer := long + long
+	var p LevenshteinPattern
 	if n := testing.AllocsPerRun(100, func() {
 		Levenshtein("brzezinski", "breszinsky")
 		Levenshtein("漢字😀", "")
 		Levenshtein(longer, long)
+		Levenshtein("garcía", "garcia")
+		// A prepared pattern: bit-parallel, the DP fallback for a
+		// non-ASCII text, and the one-shot fallback for a pattern that
+		// is too long or non-ASCII.
+		p.Reset("brzezinski")
+		p.Dist("breszinsky")
+		p.Dist("garcía")
+		p.Reset(longer)
+		p.Dist(long)
+		p.Reset("漢字")
+		p.Dist("brzezinski")
 	}); n != 0 {
 		t.Errorf("Levenshtein allocates %v times per run, want 0", n)
 	}
+}
+
+// fuzzLevCap bounds each fuzzed string, in bytes, so the quadratic
+// reference stays cheap; it is well past the 64-byte pattern limit.
+const fuzzLevCap = 200
+
+// FuzzLevenshtein checks Levenshtein in both argument orders against
+// levenshteinReference, and one LevenshteinPattern reused across
+// successive resets: the longer input, then the shorter, then a
+// non-ASCII string, then the longer input again. A reset that leaves the
+// previous string's table entries behind corrupts the next distance, so
+// every prepared string is checked against both inputs and itself.
+//
+// The committed corpus (testdata/fuzz/FuzzLevenshtein) covers empty
+// strings, invalid UTF-8, non-ASCII text against an ASCII pattern, and
+// strings of 63, 64 and 65 bytes around the one-word limit. The nightly
+// workflow runs this target for 20s.
+func FuzzLevenshtein(f *testing.F) {
+	f.Add("kitten", "sitting")
+	f.Add("", "abc")
+	f.Add("garcía", "garcia")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > fuzzLevCap {
+			a = a[:fuzzLevCap]
+		}
+		if len(b) > fuzzLevCap {
+			b = b[:fuzzLevCap]
+		}
+		if got, want := Levenshtein(a, b), levenshteinReference(a, b); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %v, reference = %v", a, b, got, want)
+		}
+		if got, want := Levenshtein(b, a), levenshteinReference(b, a); got != want {
+			t.Fatalf("Levenshtein(%q, %q) = %v, reference = %v", b, a, got, want)
+		}
+		long, short := a, b
+		if len(long) < len(short) {
+			long, short = short, long
+		}
+		var p LevenshteinPattern
+		for _, s := range []string{long, short, short + "ñ", long} {
+			p.Reset(s)
+			for _, x := range []string{a, b, s} {
+				if got, want := p.Dist(x), levenshteinReference(s, x); got != want {
+					t.Fatalf("pattern %q: Dist(%q) = %v, reference = %v", s, x, got, want)
+				}
+			}
+		}
+	})
 }
 
 func TestHausdorffKnownValues(t *testing.T) {

@@ -27,8 +27,8 @@
 //
 // Statuses: 400 malformed body or invalid item, 404 unknown handle space
 // is not an error (per-handle booleans instead), 409 mutation on a
-// read-only backend, 422 detect over an empty collection, 503 score
-// after shutdown began.
+// read-only backend, 413 body over maxBodyBytes, 422 detect over an
+// empty collection, 503 score after shutdown began.
 package serve
 
 import (
@@ -355,20 +355,42 @@ func (r scoreResponse) appendJSON(b []byte) []byte {
 	return append(b, '}', '\n')
 }
 
+// maxBodyBytes caps every request body a handler reads; past it the
+// request gets 413 and the rest of the body is not read, so one huge
+// body cannot exhaust the daemon's memory. 16 MiB holds an ingest of
+// about 250k three-dimensional points.
+const maxBodyBytes = 16 << 20
+
+// bodyError answers a body that failed to read or decode: 413 when it
+// ran past maxBodyBytes, else 400 with msg and the error.
+func bodyError(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "%s: %v", msg, err)
+}
+
 var scoreBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 var bodyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // readBody reads rc to EOF into buf (reusing its capacity) and returns
 // the extended slice — io.ReadAll without the fresh allocation per
-// request.
+// request. It stops with an *http.MaxBytesError once the body runs past
+// maxBodyBytes; counting here rather than wrapping the body in
+// http.MaxBytesReader keeps the score path free of that allocation.
 func readBody(rc io.Reader, buf []byte) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := rc.Read(buf[len(buf):cap(buf)])
+		n, err := rc.Read(buf[len(buf):min(cap(buf), maxBodyBytes+1)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > maxBodyBytes {
+			return buf, &http.MaxBytesError{Limit: maxBodyBytes}
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
@@ -386,8 +408,8 @@ func (s *Server[T]) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Items []json.RawMessage `json:"items"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		bodyError(w, err, "malformed body")
 		return
 	}
 	if len(req.Items) == 0 {
@@ -419,8 +441,8 @@ func (s *Server[T]) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Handles []int64 `json:"handles"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		bodyError(w, err, "malformed body")
 		return
 	}
 	deleted := make([]bool, len(req.Handles))
@@ -464,7 +486,7 @@ func (s *Server[T]) handleScore(w http.ResponseWriter, r *http.Request) {
 	*bp = body
 	bodyBufPool.Put(bp)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "malformed body or item: %v", err)
+		bodyError(w, err, "malformed body or item")
 		return
 	}
 	if req.Item == nil {

@@ -195,6 +195,38 @@ func TestServeErrorPaths(t *testing.T) {
 	}
 }
 
+// TestBodyLimit pins the request-body cap on every route that reads a
+// body: a body of exactly maxBodyBytes is read and answered, one byte
+// more gets 413. The padding is leading whitespace, so the decoder has
+// to read past it before it sees any JSON value.
+func TestBodyLimit(t *testing.T) {
+	inc, err := mccatch.NewIncrementalVectors(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range testPoints(60, 4) {
+		if _, err := inc.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Mutable(inc), WithValidator(vecValidator(2)), WithBatch[[]float64](1, 0))
+	defer s.Close()
+	pad := func(body string, n int) string { return strings.Repeat(" ", n-len(body)) + body }
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/ingest", `{"items":[[1,2]]}`},
+		{"/v1/delete", `{"handles":[123456]}`},
+		{"/v1/score", `{"item":[1,2]}`},
+	} {
+		if code, m := do(t, s, "POST", tc.path, pad(tc.body, maxBodyBytes)); code != http.StatusOK {
+			t.Errorf("%s at the cap: status %d (%s), want 200", tc.path, code, m["error"])
+		}
+		code, m := do(t, s, "POST", tc.path, pad(tc.body, maxBodyBytes+1))
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s one byte over the cap: status %d (%s), want 413", tc.path, code, m["error"])
+		}
+	}
+}
+
 // TestShutdownWithInFlightBatches pins graceful shutdown: queries already
 // accepted into a pending micro-batch get their real answers when Close
 // flushes it, and later queries get 503.

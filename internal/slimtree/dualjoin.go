@@ -5,6 +5,7 @@ import (
 
 	"mccatch/internal/dualjoin"
 	"mccatch/internal/kernel"
+	"mccatch/internal/metric"
 )
 
 // This file implements the dual-tree multi-radius self-join: the neighbor
@@ -37,6 +38,9 @@ type dualCtx[T any] struct {
 	// the join's innermost loop.
 	rows   []int
 	stride int
+	// prep is the entry whose string visitState.pat holds on a
+	// Levenshtein tree (noEntry before the first evaluation).
+	prep int32
 }
 
 // CountAllMulti returns counts[e][id] = the number of indexed elements
@@ -66,6 +70,12 @@ func (t *Tree[T]) CountAllMulti(radii []float64, workers int) [][]int {
 		func(u int, acc *dualjoin.Acc) {
 			c := dualCtx[T]{visitState: visitState[T]{t: t}, radii: radii, acc: acc,
 				rows: acc.Point, stride: acc.Stride}
+			if t.lp != nil {
+				// One pattern per unit, on this stack: re-preparing it
+				// for a new entry costs only that entry's string.
+				var pat metric.LevenshteinPattern
+				c.pat, c.prep = &pat, noEntry
+			}
 			if units[u].i == units[u].j {
 				// Root entries have no live parent pivot (their dPar is
 				// stale by construction), so no prefilter applies up here.
@@ -99,6 +109,34 @@ func (c *dualCtx[T]) credit(e int32, from, to, cnt int) {
 	c.acc.CreditPos(c.t.ePos[e], from, to, cnt)
 }
 
+// pairDist returns d(pivot ae, pivot be). On a Levenshtein tree it
+// evaluates through the unit's pattern, preparing be's string unless the
+// pattern already holds one side. symVisit's child loop holds `other`
+// fixed as be, and selfVisit's sibling loop prepares its fixed entry
+// first, so a string that meets a whole leaf (or subtree) is prepared
+// once. It counts one metric evaluation either way.
+func (c *dualCtx[T]) pairDist(ae, be int32) float64 {
+	if c.pat == nil {
+		return c.d(c.t.ePivot[ae], c.t.ePivot[be])
+	}
+	if c.prep == ae {
+		ae = be
+	} else {
+		c.prepare(be)
+	}
+	c.calls++
+	return c.pat.Dist(c.t.lp[ae])
+}
+
+// prepare makes the unit's pattern hold entry e's string, on a
+// Levenshtein tree.
+func (c *dualCtx[T]) prepare(e int32) {
+	if c.pat != nil && c.prep != e {
+		c.prep = e
+		c.pat.Reset(c.t.lp[e])
+	}
+}
+
 // symVisit classifies the unordered pair of DISTINCT entries (ae, be) for
 // the radius window [lo, hi): radii below lo are already known to
 // separate the two subtrees, radii at and above hi have already been
@@ -112,7 +150,7 @@ func (c *dualCtx[T]) symVisit(ae, be int32, lo, hi int) {
 	// headers stay in registers across them where repeated field loads
 	// off t would not.
 	eRD, eCount, eChild := t.eRD, t.eCount, t.eChild
-	d := c.d(t.ePivot[ae], t.ePivot[be])
+	d := c.pairDist(ae, be)
 	sum := eRD[2*ae] + eRD[2*be]
 	radii := c.radii
 	// Any pair of elements under (ae, be) lies within [d-sum, d+sum].
@@ -237,6 +275,7 @@ func (c *dualCtx[T]) selfVisit(ae int32, lo, hi int) {
 				c.credit(j, b, nh, int(eCount[i]))
 				continue
 			}
+			c.prepare(i) // i meets all its later siblings
 			c.symVisit(i, j, b, nh)
 		}
 	}

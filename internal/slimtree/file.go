@@ -195,6 +195,7 @@ func FromFileStr(f *arena.File, dist metric.Distance[string]) (*Tree[string], er
 	if err := t.validateArena(); err != nil {
 		return nil, err
 	}
+	t.kernelize()
 	return t, nil
 }
 

@@ -1,14 +1,28 @@
 package slimtree
 
-// Kernelization of the slim-tree's Euclidean hot loops (ROADMAP item 4).
+// Kernelization of the slim-tree's hot loops for the two metrics it can
+// reproduce exactly: metric.Euclidean on vectors and metric.Levenshtein
+// on strings.
 //
 // The slim-tree is generic over any metric — it never sees coordinates —
 // but MCCATCH's vector spaces all run it with metric.Euclidean over
-// []float64 elements, and there the per-entry d(q, pivot) calls in the
-// leaf scans leave internal/kernel's block kernels on the table. freeze()
-// therefore detects that exact configuration — the concrete element type
-// AND the metric's code pointer; any wrapped or custom metric, even a
-// Euclidean clone, keeps the generic path — and lays the entry pivots'
+// []float64 elements, and its string spaces with metric.Levenshtein.
+// freeze() (and opening a string index file) therefore detects those
+// exact configurations — the concrete element type AND the metric's code
+// pointer; any wrapped or custom metric, even a clone of either, keeps
+// the generic path.
+//
+// Under metric.Levenshtein the tree keeps its pivots as a []string
+// column (lp, the same slice as ePivot), and wherever one string meets
+// many it prepares that string once as a metric.LevenshteinPattern: a
+// probe prepares its query for the whole traversal, and the dual
+// self-join prepares the entry its child loops hold fixed (see
+// dualCtx.pairDist). A pattern's Dist is exactly metric.Levenshtein, and
+// each evaluation counts one DistCalls as before, so Results and
+// DistCalls totals are unchanged. The pattern lives on the probe's or
+// the traversal unit's stack, so preparing allocates nothing.
+//
+// Under metric.Euclidean freeze() lays the entry pivots'
 // coordinates out as one flat entry-major column, the same single-block
 // layout the kd/R arenas hand the kernels. Leaf scans then stream
 // contiguous entry ranges through kernel chunks and take math.Sqrt per
@@ -37,14 +51,24 @@ import (
 // metric whose arithmetic internal/kernel reproduces bit-for-bit.
 var euclideanPtr = reflect.ValueOf(metric.Euclidean).Pointer()
 
-// kernelize inspects the frozen tree and, when the element type is
-// []float64 and the metric is metric.Euclidean itself, flattens the
-// entry pivots into the entry-major coordinate column kc. Runs at every
-// freeze — insertion build, bulk load and SlimDown's re-freeze alike —
-// so the column always mirrors the live arena. Ragged or empty inputs
-// keep the generic path.
+// levenshteinPtr identifies metric.Levenshtein by code pointer: the one
+// metric whose evaluations metric.LevenshteinPattern reproduces.
+var levenshteinPtr = reflect.ValueOf(metric.Levenshtein).Pointer()
+
+// kernelize inspects the frozen tree. When the element type is string
+// and the metric is metric.Levenshtein itself, it sets the pivot column
+// lp. When the element type is []float64 and the metric is
+// metric.Euclidean itself, it flattens the entry pivots into the
+// entry-major coordinate column kc. Runs at every freeze — insertion
+// build, bulk load and SlimDown's re-freeze alike — and when a string
+// index file is opened, so the columns always mirror the live arena.
+// Ragged or empty vector inputs keep the generic path.
 func (t *Tree[T]) kernelize() {
-	t.kc, t.kdim = nil, 0
+	t.kc, t.kdim, t.lp = nil, 0, nil
+	if dist, ok := any(t.dist).(metric.Distance[string]); ok && reflect.ValueOf(dist).Pointer() == levenshteinPtr {
+		t.lp, _ = any(t.ePivot).([]string)
+		return
+	}
 	dist, ok := any(t.dist).(metric.Distance[[]float64])
 	if !ok || reflect.ValueOf(dist).Pointer() != euclideanPtr {
 		return

@@ -93,6 +93,11 @@ type Tree[T any] struct {
 	// otherwise, and every scan keeps the generic per-entry path.
 	kc   []float64
 	kdim int
+	// Levenshtein pivot column (kernelize.go): ePivot itself, typed
+	// []string, when the metric is metric.Levenshtein itself; nil
+	// otherwise. The probes and the dual self-join then evaluate through
+	// prepared metric.LevenshteinPatterns.
+	lp []string
 
 	// distCalls counts metric evaluations (atomically, so concurrent
 	// read-only queries may share a tree); experiments use it to verify the
@@ -155,7 +160,7 @@ func (t *Tree[T]) freeze() {
 		t.leaf, t.entFirst, t.entLast, t.parent = nil, nil, nil, nil
 		t.ePivot, t.eRD = nil, nil
 		t.eCount, t.eID, t.eChild, t.ePos, t.leafIDs = nil, nil, nil, nil, nil
-		t.kc, t.kdim = nil, 0
+		t.kc, t.kdim, t.lp = nil, 0, nil
 		return
 	}
 	// Pre-count nodes and entries so every arena slice is allocated
@@ -423,6 +428,11 @@ func (t *Tree[T]) RangeCount(q T, r float64) int {
 		return 0
 	}
 	v := visitState[T]{t: t, qc: t.queryCoords(q)}
+	if t.lp != nil {
+		var pat metric.LevenshteinPattern
+		pat.Reset(any(q).(string))
+		v.pat = &pat
+	}
 	count := v.rangeVisit(0, q, r, math.NaN(), nil)
 	t.distCalls.Add(v.calls)
 	return count
@@ -442,6 +452,11 @@ func (t *Tree[T]) RangeQueryAppend(q T, r float64, dst []int) []int {
 		return dst
 	}
 	v := visitState[T]{t: t, qc: t.queryCoords(q)}
+	if t.lp != nil {
+		var pat metric.LevenshteinPattern
+		pat.Reset(any(q).(string))
+		v.pat = &pat
+	}
 	v.rangeVisit(0, q, r, math.NaN(), &dst)
 	t.distCalls.Add(v.calls)
 	return dst
@@ -455,11 +470,25 @@ type visitState[T any] struct {
 	t     *Tree[T]
 	calls int64
 	qc    []float64 // q's coordinates when the kernel path is active (kernelize.go)
+	// pat holds q prepared on a Levenshtein tree (t.lp non-nil); the
+	// dual self-join reuses it for the entry it holds fixed.
+	pat *metric.LevenshteinPattern
 }
 
 func (v *visitState[T]) d(a, b T) float64 {
 	v.calls++
 	return v.t.dist(a, b)
+}
+
+// qDist returns d(q, pivot of entry k) for the probe's query q, through
+// the prepared pattern on a Levenshtein tree. Either way it counts one
+// metric evaluation.
+func (v *visitState[T]) qDist(q T, k int32) float64 {
+	if v.pat != nil {
+		v.calls++
+		return v.pat.Dist(v.t.lp[k])
+	}
+	return v.d(q, v.t.ePivot[k])
 }
 
 // RangeCountMulti returns the neighbor count at every radius of the
@@ -487,6 +516,11 @@ func (t *Tree[T]) RangeCountMultiAppend(q T, radii []float64, dst []int) []int {
 			return
 		}
 		v := visitState[T]{t: t, qc: t.queryCoords(q)}
+		if t.lp != nil {
+			var pat metric.LevenshteinPattern
+			pat.Reset(any(q).(string))
+			v.pat = &pat
+		}
 		v.multiVisit(0, q, sched, math.NaN(), 0, len(sched), diff)
 		t.distCalls.Add(v.calls)
 	})
@@ -519,7 +553,7 @@ func (v *visitState[T]) multiVisit(n int32, q T, radii []float64, dq float64, lo
 				continue // outside every unresolved radius
 			}
 		}
-		d := v.d(q, t.ePivot[k])
+		d := v.qDist(q, k)
 		if isLeaf {
 			// Element at distance d: credit radii [b', hi) where b' is the
 			// first unfiltered radius with d ≤ radii[b'].
@@ -576,7 +610,7 @@ func (v *visitState[T]) rangeVisit(n int32, q T, r float64, dq float64, ids *[]i
 		if !math.IsNaN(dq) && math.Abs(dq-t.eRD[2*k+1]) > r+rad {
 			continue
 		}
-		d := v.d(q, t.ePivot[k])
+		d := v.qDist(q, k)
 		if isLeaf {
 			if d <= r {
 				count++
