@@ -569,39 +569,40 @@ func BenchmarkIncrementalQueryMerged(b *testing.B) {
 	}
 }
 
-// The Step II incremental self-join pair: CountAllMulti over the merged
-// layout (the same one frozen 9.9k segment + 100-point memtable split as
-// the query pair above) against the identical call on the compacted
-// single-segment layout, whose clean segment answers through its native
-// dual-tree self-join alone. The merged side resolves the memtable and
-// the cross-segment pairs through segment-vs-segment dual-tree cross
-// joins; the CI pair gate bounds its overhead at 1.5x the compacted
-// twin, so the cross-join path can never rot back toward the per-element
-// probe costs it replaced.
-func BenchmarkIncrementalCountAllMerged(b *testing.B)    { benchIncrementalCountAll(b, false) }
-func BenchmarkIncrementalCountAllCompacted(b *testing.B) { benchIncrementalCountAll(b, true) }
+// The incremental Detect pair: HTTPLike(0.02, 1) — 4,440 3-d points —
+// inserted through the public layer at the default memtable cap (17
+// frozen segments plus an 88-point memtable), against the same detector
+// after Compact. Detect bulk-builds one index over the live set in both
+// layouts, so the CI pair gate holds the segmented side within 1.3x of
+// the compacted one; a Detect that merges per-segment joins again reads
+// about 2.7x and fails it on any runner. WithWorkers(1) keeps allocs/op
+// independent of the runner's cores.
+func BenchmarkIncrementalDetectSegmented(b *testing.B) { benchIncrementalDetect(b, false) }
+func BenchmarkIncrementalDetectCompacted(b *testing.B) { benchIncrementalDetect(b, true) }
 
-func benchIncrementalCountAll(b *testing.B, compact bool) {
+func benchIncrementalDetect(b *testing.B, compact bool) {
 	b.Helper()
 	b.ReportAllocs()
-	pts := randPoints(10000, 2)
-	m := segment.NewMutable(metric.Euclidean, func(sub [][]float64) index.Index[[]float64] {
-		return rtree.New(sub, 0)
-	}, len(pts)+1)
-	for _, p := range pts[:9900] {
-		m.Insert(p)
+	inc, err := mccatch.NewIncrementalVectors(3, mccatch.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
 	}
-	m.Freeze()
-	for _, p := range pts[9900:] {
-		m.Insert(p)
+	for _, p := range data.HTTPLike(0.02, 1).Points {
+		if _, err := inc.Insert(p); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if compact {
-		m.Compact()
+		inc.Compact()
 	}
-	radii := geomRadii(m.DiameterEstimate(), 15)
+	// Len settles the lazy dense-id refresh, whose first run after the
+	// inserts allocates once; allocs/op then do not depend on b.N.
+	inc.Len()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CountAllMulti(radii, 0)
+		if _, err := inc.Detect(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func main() {
 		workers = flag.Int("workers", 0, "concurrent workers (0 = all cores, 1 = serial; output is identical)")
 		shards  = flag.Int("shards", 0, "concurrent per-shard pipelines (0 = default 1; output is identical for every value)")
 		insert  = flag.Bool("insertion-build", false, "build slim-trees with the legacy insert path instead of bulk loading (slower; output is identical)")
-		incr    = flag.Bool("incremental", false, "feed the data through the mutable incremental layer (insert-all, compact, detect; output is identical)")
+		incr    = flag.Bool("incremental", false, "feed the data through the mutable incremental layer (insert-all, detect; output is identical)")
 		saveIdx = flag.String("save-index", "", "build the index from the input, save it to this file, and exit without detecting")
 		idxFile = flag.String("index-file", "", "open a saved index file instead of reading -input (mmap-backed; output is identical to the direct run)")
 		probe   = flag.Int("probe", -1, "print one element's neighbor-count curve (radius,count per line) instead of detecting")
@@ -233,7 +233,7 @@ func checkHeap(maxHeapMiB int) {
 }
 
 // detectIncremental reads the dataset and runs it through the mutable
-// incremental layer (insert every element, compact, detect). The output
+// incremental layer (insert every element, detect). The output
 // is byte-identical to the direct path; TestIncrementalCLIByteIdentical
 // pins it.
 func detectIncremental(format string, r io.Reader, opts []mccatch.Option) (*mccatch.Result, func(i int) string, error) {
@@ -253,7 +253,6 @@ func detectIncremental(format string, r io.Reader, opts []mccatch.Option) (*mcca
 				return nil, nil, err
 			}
 		}
-		inc.Compact()
 		res, err := inc.Detect()
 		return res, describe, err
 	case "text":
@@ -272,7 +271,6 @@ func detectIncremental(format string, r io.Reader, opts []mccatch.Option) (*mcca
 				return nil, nil, err
 			}
 		}
-		inc.Compact()
 		res, err := inc.Detect()
 		return res, describe, err
 	default:

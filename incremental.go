@@ -13,8 +13,10 @@ import (
 
 // Incremental is a mutable MCCATCH detector: a dataset that accepts
 // Insert and Delete between detections, indexed by an LSM-style layer —
-// a small mutable memtable in front of frozen immutable index segments —
-// so no detection ever rebuilds the full index from scratch.
+// a small mutable memtable in front of frozen immutable index segments.
+// The segments answer point queries (Probe, Radii) as exact merges
+// without rebuilding anything; Detect, a full scan, bulk-builds one
+// fresh index over the live set and runs the batch pipeline on it.
 //
 // Detect is EXACTLY equivalent to a one-shot run over the current live
 // set: inserts and deletes never change the answer, only the work done
@@ -29,9 +31,9 @@ type Incremental[T any] struct {
 	builder  index.Builder[T]
 	params   core.Params
 	validate func(T) error
-	// dist and euclidean feed the sharded Detect path (WithShards > 1),
-	// which partitions the live set per detection; euclidean marks the
-	// vector constructor so the cut can use tiles.
+	// dist and euclidean feed Detect's fresh run over the live set;
+	// euclidean marks the vector constructor so a sharded Detect
+	// (WithShards > 1) can cut the live set into tiles.
 	dist      Distance[T]
 	euclidean bool
 
@@ -121,11 +123,11 @@ func (inc *Incremental[T]) Insert(x T) (int64, error) {
 
 // Delete removes the element behind handle from the live set and reports
 // whether it was present. Frozen elements become tombstones that every
-// query subtracts exactly until the next Compact.
+// probe subtracts exactly until the next Compact.
 func (inc *Incremental[T]) Delete(handle int64) bool { return inc.m.Delete(handle) }
 
 // Freeze forces the current memtable into a new immutable segment (no-op
-// when empty), so subsequent detections run entirely over frozen arenas.
+// when empty), so subsequent probes run entirely over frozen arenas.
 func (inc *Incremental[T]) Freeze() { inc.m.Freeze() }
 
 // Compact rebuilds all segments and the memtable into one fresh segment
@@ -147,22 +149,22 @@ func (inc *Incremental[T]) Tombstones() int { return inc.m.Tombstones() }
 // segment (n ≤ 0 restores the default).
 func (inc *Incremental[T]) SetMemtableCap(n int) { inc.m.SetMemtableCap(n) }
 
-// Detect runs MCCATCH over the current live set, reusing the frozen
-// segments: Steps I, II and IV answer their joins as exact merges across
-// the segments and the memtable instead of rebuilding the full index.
-// The Result is identical to a one-shot run over the live elements.
+// Detect runs MCCATCH over a snapshot of the current live set: one bulk
+// build of the detector's index over the live elements, then the batch
+// pipeline, exactly as a one-shot run over them. The Result is therefore
+// identical to that run's. Detect reads the incremental layer without
+// reorganizing it: segments, tombstones, the memtable and the epoch are
+// the same afterwards, and so is every Probe answer.
 //
-// Under WithShards(n), n > 1, Detect instead snapshots the live set and
-// runs the shard-parallel pipeline over a fresh deterministic partition
-// of it — the LSM layer still absorbs the mutations, but the detection
-// indexes are per-shard builds. The Result is still identical (the
-// shard merge is exact); the trade is rebuild cost per detection for
-// shard-level parallelism during it.
+// Under WithShards(n), n > 1, the snapshot runs through the
+// shard-parallel pipeline over a fresh deterministic partition of it
+// instead; the shard merge is exact, so the Result is still identical.
 func (inc *Incremental[T]) Detect() (*Result, error) {
+	live := inc.m.Live()
 	if inc.params.Shards > 1 {
-		return core.RunSharded(inc.m.Live(), inc.dist, inc.builder, inc.params, inc.euclidean)
+		return core.RunSharded(live, inc.dist, inc.builder, inc.params, inc.euclidean)
 	}
-	return core.RunIncremental[T](inc.m, inc.builder, inc.params)
+	return core.RunWithIndex(live, inc.dist, inc.builder, inc.params)
 }
 
 // Epoch returns the live-set mutation counter: it changes exactly when

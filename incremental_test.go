@@ -1,10 +1,14 @@
 package mccatch
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"mccatch/internal/core"
 )
 
 // TestIncrementalMatchesRunVectors pins the public contract: after any
@@ -114,6 +118,115 @@ func TestIncrementalMatchesRunStrings(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("incremental Detect differs from RunStrings\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestIncrementalDetectEmpty pins the empty-live-set error path of both
+// Detect branches: a new detector, and one whose every element was
+// deleted, report core.ErrEmptyDataset.
+func TestIncrementalDetectEmpty(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		inc, err := NewIncrementalVectors(2, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc.SetMemtableCap(2)
+		if _, err := inc.Detect(); !errors.Is(err, core.ErrEmptyDataset) {
+			t.Fatalf("shards=%d: Detect on a new detector: err = %v, want ErrEmptyDataset", shards, err)
+		}
+		var hs []int64
+		for i := 0; i < 5; i++ { // freezes segments, so deletes leave tombstones
+			h, err := inc.Insert([]float64{float64(i), 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+		for _, h := range hs {
+			inc.Delete(h)
+		}
+		if _, err := inc.Detect(); !errors.Is(err, core.ErrEmptyDataset) {
+			t.Fatalf("shards=%d: Detect after delete-all: err = %v, want ErrEmptyDataset", shards, err)
+		}
+	}
+}
+
+// TestIncrementalDetectReadOnly pins that Detect only reads the
+// incremental layer: the storage layout (segments, tombstones,
+// memtable), the epoch, the live set and every Probe answer are the same
+// before and after it, at several worker counts and on both Detect
+// branches. Run under -race it also checks that Detect's fan-out shares
+// no unguarded state with the layer.
+func TestIncrementalDetectReadOnly(t *testing.T) {
+	type state struct {
+		epoch                         uint64
+		segs, tombs, memtable, length int
+		live                          [][]float64
+		radii                         []float64
+		probes                        [][]int
+	}
+	for _, shards := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(41))
+				inc, err := NewIncrementalVectors(2, WithWorkers(workers), WithShards(shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				inc.SetMemtableCap(16)
+				var handles []int64
+				var pts [][]float64
+				for i := 0; i < 120; i++ {
+					p := []float64{math.Round(rng.Float64()*60) / 2, math.Round(rng.Float64()*60) / 2}
+					if i%40 == 39 {
+						p[1] += 200 // far outlier
+					}
+					h, err := inc.Insert(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					handles, pts = append(handles, h), append(pts, p)
+				}
+				for _, j := range []int{100, 57, 30, 4} {
+					inc.Delete(handles[j])
+				}
+				queries := append([][]float64{{15, 15}, {500, -500}}, pts[:20]...)
+				snapshot := func() state {
+					st := state{
+						epoch: inc.Epoch(), segs: inc.Segments(), tombs: inc.Tombstones(),
+						memtable: inc.m.MemtableLen(), length: inc.Len(),
+						live: inc.m.Live(), radii: inc.Radii(),
+					}
+					for _, q := range queries {
+						c, err := inc.Probe(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						st.probes = append(st.probes, c)
+					}
+					return st
+				}
+				before := snapshot()
+				if before.segs < 2 || before.tombs == 0 || before.memtable == 0 {
+					t.Fatalf("script left no merge to disturb: segments=%d tombstones=%d memtable=%d",
+						before.segs, before.tombs, before.memtable)
+				}
+				first, err := inc.Detect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if after := snapshot(); !reflect.DeepEqual(after, before) {
+					t.Fatalf("Detect changed the incremental state\nbefore: %+v\nafter:  %+v", before, after)
+				}
+				second, err := inc.Detect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(second, first) {
+					t.Fatal("a second Detect on an unchanged live set returned a different Result")
+				}
+			})
+		}
 	}
 }
 

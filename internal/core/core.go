@@ -167,9 +167,9 @@ func Run[T any](items []T, dist metric.Distance[T], params Params) (*Result, err
 }
 
 // SlimBuilder returns the slim-tree index builder Run uses under params —
-// exported so the incremental layer (and any other pipeline host) can
-// freeze its segments with exactly the builder a one-shot run would use,
-// which is what makes incremental-vs-fresh equivalence exact.
+// exported so the incremental layer can freeze its segments, and build
+// its Detect's full index, with exactly the builder a one-shot run would
+// use, which is what makes incremental-vs-fresh equivalence exact.
 func SlimBuilder[T any](dist metric.Distance[T], params Params) index.Builder[T] {
 	return func(sub []T) index.Index[T] {
 		var t *slimtree.Tree[T]
@@ -185,22 +185,6 @@ func SlimBuilder[T any](dist metric.Distance[T], params Params) index.Builder[T]
 	}
 }
 
-// IncrementalSource is the contract the incremental layer fulfills to
-// host the pipeline without a fresh full-dataset build: a full Index over
-// the live set (answering every merged join), the live elements in dense
-// id order, and a masked inlier view for Step IV's bridge searches.
-// internal/segment's Mutable is the implementation.
-type IncrementalSource[T any] interface {
-	index.Index[T]
-	// Live returns the live elements in the dense id order the source's
-	// query answers are keyed by.
-	Live() []T
-	// InlierView returns a read-only index over the live elements NOT
-	// selected by excluded (indexed by dense id), re-keyed densely over
-	// the kept subset — the ids a fresh build over it would assign.
-	InlierView(excluded []bool) index.Index[T]
-}
-
 // RunWithIndex executes MCCATCH using a caller-supplied access method —
 // e.g. a kd-tree for main-memory vector data (paper footnote 4). The
 // builder is invoked for the full dataset and for the sub-sets the
@@ -209,7 +193,7 @@ func RunWithIndex[T any](items []T, dist metric.Distance[T], builder index.Build
 	if params.Shards > 1 {
 		return RunSharded(items, dist, builder, params, false)
 	}
-	return pipeline(items, nil, builder, nil, params)
+	return pipeline(items, nil, builder, params)
 }
 
 // RunPrebuilt executes MCCATCH over an ALREADY-BUILT full index — the
@@ -221,26 +205,13 @@ func RunWithIndex[T any](items []T, dist metric.Distance[T], builder index.Build
 // byte-identical with a fresh RunWithIndex over the same items (all
 // backends agree on vector data, so there it only moves constants).
 func RunPrebuilt[T any](items []T, tree index.Index[T], builder index.Builder[T], params Params) (*Result, error) {
-	return pipeline(items, tree, builder, nil, params)
+	return pipeline(items, tree, builder, params)
 }
 
-// RunIncremental executes MCCATCH over an incremental source's live set
-// WITHOUT rebuilding the full index: Steps I, II and IV query src
-// directly (merged across its segments and memtable), and only the small
-// throwaway trees of Step III's gelling use builder. The Result is
-// deep-equal to RunWithIndex over src.Live() with the same builder after
-// ANY insert/delete sequence; the equivalence property and fuzz tests pin
-// this at workers 1/2/8.
-func RunIncremental[T any](src IncrementalSource[T], builder index.Builder[T], params Params) (*Result, error) {
-	return pipeline(src.Live(), nil, builder, src, params)
-}
-
-// pipeline is the shared four-step driver. src == nil is the one-shot
-// mode: the full index is prebuilt (non-nil) or freshly built, and Step
-// IV's inlier index is freshly built over the inlier subset. With a src,
-// both come from the incremental layer instead (the full index IS src;
-// the inlier index is src's masked view) and items is src.Live().
-func pipeline[T any](items []T, prebuilt index.Index[T], builder index.Builder[T], src IncrementalSource[T], params Params) (*Result, error) {
+// pipeline is the shared four-step driver: the full index is prebuilt
+// (non-nil) or freshly built, and Step IV's inlier index is freshly
+// built over the inlier subset.
+func pipeline[T any](items []T, prebuilt index.Index[T], builder index.Builder[T], params Params) (*Result, error) {
 	n := len(items)
 	if n == 0 {
 		return nil, ErrEmptyDataset
@@ -257,13 +228,8 @@ func pipeline[T any](items []T, prebuilt index.Index[T], builder index.Builder[T
 	}
 
 	// Step I — define the neighborhood radii (Alg. 1 L1-3).
-	var tree index.Index[T]
-	switch {
-	case src != nil:
-		tree = src
-	case prebuilt != nil:
-		tree = prebuilt
-	default:
+	tree := prebuilt
+	if tree == nil {
 		tree = builder(items)
 	}
 	l := tree.DiameterEstimate()
@@ -296,18 +262,10 @@ func pipeline[T any](items []T, prebuilt index.Index[T], builder index.Builder[T
 	}
 	mcs := spotMCs(items, gelPairs, res)
 
-	// Step IV — compute the anomaly scores (Alg. 4). The inlier index is
-	// a fresh build over the inliers in one-shot mode, and the masked
-	// in-place view of the incremental source otherwise; both answer the
-	// bridge joins exactly, so the scores agree bit for bit.
-	bridgeFirsts := func(outItems, inItems []T, isOutlier []bool) []int {
-		var inTree index.Index[T]
-		if src != nil {
-			inTree = src.InlierView(isOutlier)
-		} else {
-			inTree = builder(inItems)
-		}
-		return join.BridgeRadii(inTree, outItems, radii, p.Workers)
+	// Step IV — compute the anomaly scores (Alg. 4) against a fresh
+	// build over the inliers.
+	bridgeFirsts := func(outItems, inItems []T, _ []bool) []int {
+		return join.BridgeRadii(builder(inItems), outItems, radii, p.Workers)
 	}
 	scoreMCs(items, bridgeFirsts, mcs, p, res)
 

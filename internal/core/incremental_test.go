@@ -13,10 +13,13 @@ import (
 )
 
 // The incremental-equivalence property: after ANY insert/delete/freeze/
-// compact sequence, RunIncremental over the mutable layer returns a
-// Result deep-equal to RunWithIndex over the live set with the same
-// builder — the merge across segments never changes an answer, only the
-// work done to produce it.
+// compact sequence, the mutable layer holds exactly the script's live
+// set in insertion order (the snapshot Detect runs the batch pipeline
+// over), and its merged multi-radius counts — the merge Probe and the
+// serving layer's coalesced scores run across segments, tombstones and
+// the memtable — equal a fresh build's over that set. The oracle is the
+// script's own model of the live set, so it shares no code with the
+// merge.
 
 func incrRtreeBuilder(workers int) index.Builder[[]float64] {
 	return func(sub [][]float64) index.Index[[]float64] {
@@ -24,31 +27,39 @@ func incrRtreeBuilder(workers int) index.Builder[[]float64] {
 	}
 }
 
-func checkIncrementalEquivalence[T any](t *testing.T, m *segment.Mutable[T], dist metric.Distance[T], builder index.Builder[T], workers int) {
+func checkIncrementalEquivalence[T any](t *testing.T, m *segment.Mutable[T], model []T, builder index.Builder[T]) {
 	t.Helper()
-	params := Params{Workers: workers}
-	fresh, ferr := RunWithIndex(m.Live(), dist, builder, params)
-	incr, ierr := RunIncremental[T](m, builder, params)
-	if (ferr == nil) != (ierr == nil) {
-		t.Fatalf("workers=%d: fresh err = %v, incremental err = %v", workers, ferr, ierr)
-	}
-	if ferr != nil {
+	if len(model) == 0 {
+		if n := m.Size(); n != 0 {
+			t.Fatalf("Size = %d over an empty model", n)
+		}
 		return
 	}
-	if !reflect.DeepEqual(fresh, incr) {
-		t.Fatalf("workers=%d: incremental Result differs from fresh build\nfresh: %+v\nincremental: %+v",
-			workers, fresh, incr)
+	if live := m.Live(); !reflect.DeepEqual(live, model) {
+		t.Fatalf("Live() differs from the script's model\nlive:  %v\nmodel: %v", live, model)
+	}
+	fresh := builder(model)
+	radii := MakeRadii(fresh.DiameterEstimate(), DefaultNumRadii)
+	var got, want []int
+	for i, q := range model {
+		got = m.RangeCountMultiAppend(q, radii, got[:0])
+		want = index.RangeCountMultiAppend(fresh, q, radii, want[:0])
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("element %d: merged counts = %v, fresh build = %v", i, got, want)
+		}
 	}
 }
 
 // TestIncrementalEquivalenceVectors drives a random mutation script over
 // 2d points (small memtable cap → several segments, tombstones, live
-// memtable) and checks Result equality at checkpoints, at workers 1/2/8.
+// memtable) and checks the live set and the merged counts at
+// checkpoints.
 func TestIncrementalEquivalenceVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	builder := incrRtreeBuilder(0)
 	m := segment.NewMutable(metric.Euclidean, builder, 9)
 	var handles []int64
+	var model [][]float64
 	randPt := func() []float64 {
 		// Two clusters plus occasional far-flung outliers.
 		cx := float64(rng.Intn(2) * 20)
@@ -64,15 +75,16 @@ func TestIncrementalEquivalenceVectors(t *testing.T) {
 			j := rng.Intn(len(handles))
 			m.Delete(handles[j])
 			handles = append(handles[:j], handles[j+1:]...)
+			model = append(model[:j], model[j+1:]...)
 		case rng.Intn(40) == 0:
 			m.Compact()
 		default:
-			handles = append(handles, m.Insert(randPt()))
+			p := randPt()
+			handles = append(handles, m.Insert(p))
+			model = append(model, p)
 		}
 		if step%50 == 49 {
-			for _, workers := range []int{1, 2, 8} {
-				checkIncrementalEquivalence(t, m, metric.Euclidean, builder, workers)
-			}
+			checkIncrementalEquivalence(t, m, model, builder)
 		}
 	}
 	if m.Segments() < 2 && m.Tombstones() == 0 {
@@ -100,40 +112,28 @@ func TestIncrementalEquivalenceStrings(t *testing.T) {
 		return string(b)
 	}
 	var handles []int64
+	var model []string
 	for step := 0; step < 80; step++ {
 		if len(handles) > 4 && rng.Intn(4) == 0 {
 			j := rng.Intn(len(handles))
 			m.Delete(handles[j])
 			handles = append(handles[:j], handles[j+1:]...)
+			model = append(model[:j], model[j+1:]...)
 		} else {
-			handles = append(handles, m.Insert(randWord()))
+			w := randWord()
+			handles = append(handles, m.Insert(w))
+			model = append(model, w)
 		}
 		if step%40 == 39 {
-			for _, workers := range []int{1, 2, 8} {
-				checkIncrementalEquivalence(t, m, metric.Levenshtein, builder, workers)
-			}
+			checkIncrementalEquivalence(t, m, model, builder)
 		}
-	}
-}
-
-// TestRunIncrementalEmpty pins the empty-live-set error path.
-func TestRunIncrementalEmpty(t *testing.T) {
-	builder := incrRtreeBuilder(0)
-	m := segment.NewMutable(metric.Euclidean, builder, 4)
-	if _, err := RunIncremental[[]float64](m, builder, Params{}); err != ErrEmptyDataset {
-		t.Fatalf("RunIncremental on empty live set: err = %v, want ErrEmptyDataset", err)
-	}
-	h := m.Insert([]float64{1, 1})
-	m.Delete(h)
-	if _, err := RunIncremental[[]float64](m, builder, Params{}); err != ErrEmptyDataset {
-		t.Fatalf("RunIncremental after delete-all: err = %v, want ErrEmptyDataset", err)
 	}
 }
 
 // FuzzIncrementalEquivalence decodes raw bytes into a mutation script
 // (insert / delete / freeze / compact over quantized low-dim points) and
-// checks RunIncremental against the fresh-build oracle on the final
-// state. The committed seed corpus lives in
+// checks the live set and the merged counts against the script's model
+// on the final state. The committed seed corpus lives in
 // internal/core/testdata/fuzz/FuzzIncrementalEquivalence/.
 func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Add([]byte("\x02\x05incremental-mccatch-seed-corpus-0123456789"))
@@ -148,6 +148,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		builder := incrRtreeBuilder(1)
 		m := segment.NewMutable(metric.Euclidean, builder, memCap)
 		var handles []int64
+		var model [][]float64
 		rest := data[2:]
 		for i := 0; i+1 < len(rest) && m.Size() < 80; {
 			op := rest[i]
@@ -158,6 +159,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				i++
 				m.Delete(handles[j])
 				handles = append(handles[:j], handles[j+1:]...)
+				model = append(model[:j], model[j+1:]...)
 			case op >= 236: // freeze
 				m.Freeze()
 			case op >= 232: // compact
@@ -171,12 +173,12 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 					}
 				}
 				handles = append(handles, m.Insert(p))
+				model = append(model, p)
 			}
 		}
 		if m.Size() == 0 {
 			t.Skip()
 		}
-		checkIncrementalEquivalence(t, m, metric.Euclidean, builder, 1)
-		checkIncrementalEquivalence(t, m, metric.Euclidean, builder, 3)
+		checkIncrementalEquivalence(t, m, model, builder)
 	})
 }

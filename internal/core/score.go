@@ -15,11 +15,10 @@ import (
 // order) and the full outlier mask, it returns for each outlier the
 // smallest radius index at which some inlier is within reach
 // (join.BridgeRadii semantics: 0 = within radii[0], len(radii) = none
-// within the diameter). One-shot mode builds a fresh inlier tree, the
-// incremental source hands out its masked view, and the sharded
-// pipeline min-merges per-shard bridge joins — all exact, so the scores
-// agree bit for bit. bridgeFirsts is never called when there are no
-// inliers (the degenerate branch below) or no outliers.
+// within the diameter). The single-index pipeline builds a fresh inlier
+// tree and the sharded pipeline min-merges per-shard bridge joins — both
+// exact, so the scores agree bit for bit. bridgeFirsts is never called
+// when there are no inliers (the degenerate branch below) or no outliers.
 func scoreMCs[T any](items []T, bridgeFirsts func(outItems []T, inItems []T, isOutlier []bool) []int, mcs [][]int, p Params, res *Result) {
 	n := len(items)
 	radii := res.Radii

@@ -46,7 +46,7 @@ func RunSharded[T any](items []T, dist metric.Distance[T], builder index.Builder
 		return nil, err
 	}
 	if p.Shards == 1 {
-		return pipeline(items, nil, builder, nil, p)
+		return pipeline(items, nil, builder, p)
 	}
 	set := shard.Build(items, dist, p.Shards, p.Workers, euclidean)
 	return runShardedSet(items, set, nil, builder, p)

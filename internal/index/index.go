@@ -33,11 +33,13 @@
 //     queries, cutting per-probe garbage on the hot paths.
 //   - KNNer exposes k-nearest-neighbor search where a backend has one.
 //
-// Everything here is also satisfied by internal/segment's Mutable, the
-// LSM-style incremental layer: it merges every answer across a mutable
-// memtable and one or more frozen arena segments (counts add, per-query
-// minima take min, tombstones are subtracted at merge), so the pipeline
-// runs unchanged over a dataset under inserts and deletes.
+// internal/segment's Mutable, the LSM-style incremental layer, satisfies
+// Index and the point-query extensions (MultiCounter, MultiCountAppender,
+// QueryAppender, KNNer): it merges every probe across a mutable memtable
+// and one or more frozen arena segments (counts add, per-query minima
+// take min, tombstones are subtracted at merge). It implements none of
+// the join extensions: a full detection over a dataset under inserts and
+// deletes bulk-builds one fresh index over the live set instead.
 package index
 
 // Index answers range queries over an indexed dataset of element type T.
@@ -108,16 +110,14 @@ type CrossMultiCounter[T any] interface {
 // radius (all Step IV needs), this returns each query's full neighbor
 // count at every radius of an ascending schedule — the quantity the
 // shard-parallel pipeline sums across shards to reconstruct Step II's
-// exact global counts, the quantity the staged Step II
+// exact global counts, and the quantity the staged Step II
 // (join.StagedCounts) takes past its split radius for the points not
-// yet excused, and the quantity the incremental layer's
-// segment-vs-segment merge adds and subtracts. Implementations
-// bulk-build a throwaway tree over the queries and classify query
-// subtrees against index subtrees wholesale, exactly like the self-join
-// but crediting one-directionally. All three bundled trees implement
-// it; join.CrossMultiRadiusCounts falls back to batched per-query
-// probes for any other backend, and both paths return identical
-// results.
+// yet excused. Implementations bulk-build a throwaway tree over the
+// queries and classify query subtrees against index subtrees
+// wholesale, exactly like the self-join but crediting
+// one-directionally. All three bundled trees implement it;
+// join.CrossMultiRadiusCounts falls back to batched per-query probes
+// for any other backend, and both paths return identical results.
 type CrossCounter[T any] interface {
 	// CountCrossMulti returns counts[e][i] = the number of indexed
 	// elements within radii[e] (inclusive) of queries[i]. radii must be
@@ -129,7 +129,7 @@ type CrossCounter[T any] interface {
 // KNNer is the optional k-nearest-neighbor extension. The slim-tree and
 // kd-tree answer it natively (best-first traversals with ties settled by
 // insertion id); callers that need it on another backend — notably the
-// incremental layer's per-segment merge, which falls back to scanning a
+// incremental layer's merged KNN probe, which falls back to scanning a
 // segment's stored elements — must tolerate its absence.
 type KNNer[T any] interface {
 	// KNN returns the ids of the k indexed elements nearest to q together

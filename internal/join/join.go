@@ -413,8 +413,7 @@ func GateCounts(q [][]int, n, cap int, lastIsDiameter bool, workers int) {
 // return identical results at every worker count. It is the counting
 // sibling of BridgeRadii: the shard-parallel pipeline sums these
 // matrices across shard pairs to reconstruct the exact global Step II
-// counts, and the incremental layer's segment merge adds and subtracts
-// them across segments.
+// counts.
 func CrossMultiRadiusCounts[T any](t index.Index[T], queries []T, radii []float64, workers int) [][]int {
 	if cc, ok := t.(index.CrossCounter[T]); ok {
 		return cc.CountCrossMulti(queries, radii, workers)

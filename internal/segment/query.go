@@ -7,6 +7,16 @@ import (
 	"mccatch/internal/index"
 )
 
+// Compile-time proof that the incremental layer satisfies the base Index
+// contract and the point-query extensions its probes dispatch on.
+var (
+	_ index.Index[string]              = (*Mutable[string])(nil)
+	_ index.MultiCounter[string]       = (*Mutable[string])(nil)
+	_ index.MultiCountAppender[string] = (*Mutable[string])(nil)
+	_ index.QueryAppender[string]      = (*Mutable[string])(nil)
+	_ index.KNNer[string]              = (*Mutable[string])(nil)
+)
+
 // Pooled per-probe scratch: merged probes land per-segment results here
 // before summing into the caller's buffer, so a steady-state probe with a
 // warm dst allocates zero bytes (the gate BenchmarkIncrementalQueryMerged

@@ -1,8 +1,13 @@
 // Package segment is the incremental layer over the frozen index arenas:
 // an LSM-style Mutable index that absorbs inserts and deletes in front of
 // one or more immutable "segments" (frozen arena trees built by any
-// index.Builder), and answers every query of the MCCATCH pipeline as a
-// merge across them.
+// index.Builder), and answers point queries — range counts at one or
+// many radii, range queries, KNN, the diameter estimate — as merges
+// across them. Those are the probes a detector runs between mutations.
+// A full detection does not merge: it takes the Live() snapshot and
+// bulk-builds one fresh index over it, since every segment's share of an
+// all-points join would need a query tree over nearly the whole live set
+// anyway.
 //
 // The design mirrors an LSM tree transplanted to metric indexes:
 //
@@ -18,8 +23,7 @@
 //   - COMPACTION rebuilds everything — all segments' live elements plus
 //     the memtable, in global id order — into ONE fresh segment with no
 //     tombstones. A compacted Mutable is literally a fresh bulk build
-//     over the live set, which is what makes the equivalence proof
-//     (identical pipeline Result, byte-identical CLI output) exact.
+//     over the live set, so it answers every query exactly as one.
 //
 // Identity discipline: every insert takes a monotone sequence number (its
 // permanent handle); the live set in sequence order defines the DENSE
@@ -31,9 +35,8 @@
 // merged answers and fresh-build answers agree element for element.
 //
 // Every merge is EXACT, never approximate: counts add across segments,
-// per-query minima (bridge firsts, KNN) take the minimum, and tombstone
-// corrections are computed with real metric evaluations against the few
-// dead elements. Per-segment radius fences (pivot distance vs. the
+// per-query minima (KNN) take the minimum, and tombstone corrections are
+// computed with real metric evaluations against the few dead elements. Per-segment radius fences (pivot distance vs. the
 // segment's covering radius) skip segments a query ball cannot touch.
 package segment
 
@@ -102,8 +105,8 @@ func (s *seg[T]) fenced(dq, r float64) bool {
 	return dq-s.maxR > r+1e-9*(dq+s.maxR+r)
 }
 
-// Mutable is the incremental index: an index.Index (plus every optional
-// extension the joins dispatch on) over a dataset that supports Insert
+// Mutable is the incremental index: an index.Index (plus the point-query
+// extensions probes dispatch on) over a dataset that supports Insert
 // and Delete between queries. Methods are not safe for concurrent
 // mutation; the worker fan-out INSIDE one query call is.
 type Mutable[T any] struct {

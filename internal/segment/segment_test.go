@@ -106,46 +106,8 @@ func checkAgainstOracle(t *testing.T, m *Mutable[[]float64], build index.Builder
 		}
 	}
 
-	// Self-join matrix vs brute force, at several worker counts.
-	n := len(live)
-	wantAll := make([][]int, a)
-	for e := range wantAll {
-		wantAll[e] = make([]int, n)
-	}
-	for g, x := range live {
-		for _, y := range live {
-			for e := sort.SearchFloat64s(radii, metric.Euclidean(x, y)); e < a; e++ {
-				wantAll[e][g]++
-			}
-		}
-	}
-	for _, workers := range []int{1, 3} {
-		gotAll := m.CountAllMulti(radii, workers)
-		if !reflect.DeepEqual(gotAll, wantAll) {
-			t.Fatalf("CountAllMulti(workers=%d) = %v, brute force = %v", workers, gotAll, wantAll)
-		}
-	}
-
-	// Bridge firsts vs brute force.
-	wantFirsts := make([]int, len(queries))
-	for i, q := range queries {
-		nearest := math.Inf(1)
-		for _, x := range live {
-			if d := metric.Euclidean(q, x); d < nearest {
-				nearest = d
-			}
-		}
-		wantFirsts[i] = sort.SearchFloat64s(radii, nearest)
-	}
-	for _, workers := range []int{1, 3} {
-		gotFirsts := m.BridgeFirsts(queries, radii, workers)
-		if !reflect.DeepEqual(gotFirsts, wantFirsts) {
-			t.Fatalf("BridgeFirsts(workers=%d) = %v, brute force = %v", workers, gotFirsts, wantFirsts)
-		}
-	}
-
 	// Diameter matches the fresh build's (radii schedules must agree).
-	if n > 0 {
+	if len(live) > 0 {
 		fresh := build(live)
 		if g, w := m.DiameterEstimate(), fresh.DiameterEstimate(); g != w {
 			t.Fatalf("DiameterEstimate = %v, fresh build = %v", g, w)
@@ -322,8 +284,6 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 	for i, q := range queries {
 		counts[i] = m.RangeCountMulti(q, radii)
 	}
-	all := m.CountAllMulti(radii, 2)
-	firsts := m.BridgeFirsts(queries, radii, 2)
 	diam := m.DiameterEstimate()
 
 	m.Compact()
@@ -339,12 +299,6 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 			t.Fatalf("query %d: counts changed across Compact: %v vs %v", i, got, counts[i])
 		}
 	}
-	if got := m.CountAllMulti(radii, 2); !reflect.DeepEqual(got, all) {
-		t.Fatal("CountAllMulti changed across Compact")
-	}
-	if got := m.BridgeFirsts(queries, radii, 2); !reflect.DeepEqual(got, firsts) {
-		t.Fatal("BridgeFirsts changed across Compact")
-	}
 	if got := m.DiameterEstimate(); got != diam {
 		t.Fatalf("DiameterEstimate changed across Compact: %v vs %v", got, diam)
 	}
@@ -352,69 +306,6 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 	h := handles[0]
 	if !m.Delete(h) {
 		t.Fatal("Delete of a pre-compaction handle failed after Compact")
-	}
-}
-
-// TestInlierViewMatchesFreshBuild pins the Step IV contract: the masked
-// view answers exactly like a fresh index bulk-built over the kept
-// subset, with the same dense ids.
-func TestInlierViewMatchesFreshBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	m := NewMutable(metric.Euclidean, rtreeBuilder, 7)
-	var handles []int64
-	for i := 0; i < 50; i++ {
-		handles = append(handles, m.Insert(randPoint(rng, 2)))
-	}
-	for i := 0; i < 8; i++ {
-		j := rng.Intn(len(handles))
-		m.Delete(handles[j])
-		handles = append(handles[:j], handles[j+1:]...)
-	}
-	live := m.Live()
-	excluded := make([]bool, len(live))
-	var kept [][]float64
-	for g := range live {
-		if rng.Intn(3) == 0 {
-			excluded[g] = true
-		} else {
-			kept = append(kept, live[g])
-		}
-	}
-	view := m.InlierView(excluded)
-	fresh := rtreeBuilder(kept)
-	if view.Size() != fresh.Size() {
-		t.Fatalf("view Size = %d, fresh = %d", view.Size(), fresh.Size())
-	}
-	radii := []float64{0.5, 2, 8, 32}
-	queries := [][]float64{{0, 0}, {6, 6}, {-9, 2}, {3, -8}}
-	for qi, q := range queries {
-		for _, r := range radii {
-			if g, w := view.RangeCount(q, r), fresh.RangeCount(q, r); g != w {
-				t.Fatalf("query %d r=%v: view RangeCount = %d, fresh = %d", qi, r, g, w)
-			}
-		}
-		gotIDs := view.RangeQuery(q, radii[2])
-		wantIDs := fresh.RangeQuery(q, radii[2])
-		sort.Ints(wantIDs)
-		if !reflect.DeepEqual(append([]int{}, gotIDs...), append([]int{}, wantIDs...)) {
-			t.Fatalf("query %d: view RangeQuery = %v, fresh = %v", qi, gotIDs, wantIDs)
-		}
-	}
-	vf := view.(*View[[]float64]).BridgeFirsts(queries, radii, 2)
-	ff := fresh.(index.CrossMultiCounter[[]float64]).BridgeFirsts(queries, radii, 2)
-	if !reflect.DeepEqual(vf, ff) {
-		t.Fatalf("view BridgeFirsts = %v, fresh = %v", vf, ff)
-	}
-	if g, w := view.DiameterEstimate(), fresh.DiameterEstimate(); g != w {
-		t.Fatalf("view DiameterEstimate = %v, fresh = %v", g, w)
-	}
-	// A nil mask keeps everything: the view must agree with the Mutable.
-	full := m.InlierView(nil)
-	if full.Size() != m.Size() {
-		t.Fatalf("nil-mask view Size = %d, want %d", full.Size(), m.Size())
-	}
-	if g, w := full.RangeCount(queries[0], 8), m.RangeCount(queries[0], 8); g != w {
-		t.Fatalf("nil-mask view RangeCount = %d, Mutable = %d", g, w)
 	}
 }
 
