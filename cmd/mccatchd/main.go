@@ -1,7 +1,9 @@
 // Command mccatchd is the long-lived MCCATCH detection service: it
 // serves ingest / delete / detect / score-point / top-k-outliers over
-// HTTP, coalescing concurrent score requests into batched index
-// traversals and caching detection results until a mutation invalidates
+// HTTP, coalescing the score requests that arrive while a score batch is
+// in flight into the next batched index traversal (a request that finds
+// none in flight is answered at once, so the defaults suit any client
+// count) and caching detection results until a mutation invalidates
 // them (see internal/serve for the endpoint reference).
 //
 // Two serving modes:
@@ -46,8 +48,8 @@ func main() {
 		c         = flag.Int("c", 0, "maximum microcluster cardinality (0 = ceil(n*0.1))")
 		workers   = flag.Int("workers", 0, "concurrent workers inside one detection (0 = all cores)")
 		shards    = flag.Int("shards", 0, "concurrent per-shard pipelines inside one detection (0 = default 1; mutable servers only)")
-		batch     = flag.Int("batch", 16, "score coalescing: flush a micro-batch at this many queries")
-		batchWait = flag.Duration("batch-wait", 500*time.Microsecond, "score coalescing: flush after the oldest query waited this long (0 disables coalescing)")
+		batch     = flag.Int("batch", 16, "score coalescing: ship the queue behind a running batch at this many queries (1 disables coalescing)")
+		batchWait = flag.Duration("batch-wait", 500*time.Microsecond, "score coalescing: ship the queue behind a running batch once its oldest query waited this long (0 disables coalescing)")
 	)
 	flag.Parse()
 	if msg := conflictingFlags(*idxFile, *input, *dim, *shards, *format); msg != "" {
@@ -89,7 +91,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx) // stop accepting, drain handlers
-		cleanup()             // flush in-flight micro-batches, close the index
+		cleanup()             // flush queued score batches, close the index
 	}()
 	log.Printf("serving on %s", *addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

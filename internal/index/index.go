@@ -33,13 +33,12 @@
 //     queries, cutting per-probe garbage on the hot paths.
 //   - KNNer exposes k-nearest-neighbor search where a backend has one.
 //
-// internal/segment's Mutable, the LSM-style incremental layer, satisfies
-// Index and the point-query extensions (MultiCounter, MultiCountAppender,
-// QueryAppender, KNNer): it merges every probe across a mutable memtable
-// and one or more frozen arena segments (counts add, per-query minima
-// take min, tombstones are subtracted at merge). It implements none of
-// the join extensions: a full detection over a dataset under inserts and
-// deletes bulk-builds one fresh index over the live set instead.
+// internal/segment's Mutable, the LSM-style incremental layer, is not an
+// Index: it implements only MultiCountAppender, merging each count probe
+// across a mutable memtable and one or more frozen arena segments (counts
+// add, tombstones are subtracted at merge). A full detection over a
+// dataset under inserts and deletes bulk-builds one fresh index over the
+// live set instead.
 package index
 
 // Index answers range queries over an indexed dataset of element type T.
@@ -128,9 +127,8 @@ type CrossCounter[T any] interface {
 
 // KNNer is the optional k-nearest-neighbor extension. The slim-tree and
 // kd-tree answer it natively (best-first traversals with ties settled by
-// insertion id); callers that need it on another backend — notably the
-// incremental layer's merged KNN probe, which falls back to scanning a
-// segment's stored elements — must tolerate its absence.
+// insertion id); callers that need it on another backend must tolerate
+// its absence.
 type KNNer[T any] interface {
 	// KNN returns the ids of the k indexed elements nearest to q together
 	// with their distances, sorted ascending by (distance, id); fewer than

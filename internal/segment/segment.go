@@ -1,9 +1,9 @@
 // Package segment is the incremental layer over the frozen index arenas:
 // an LSM-style Mutable index that absorbs inserts and deletes in front of
 // one or more immutable "segments" (frozen arena trees built by any
-// index.Builder), and answers point queries — range counts at one or
-// many radii, range queries, KNN, the diameter estimate — as merges
-// across them. Those are the probes a detector runs between mutations.
+// index.Builder), and answers point queries — neighbor counts at every
+// radius of a schedule, and the diameter estimate — as merges across
+// them. Those are the probes a detector runs between mutations.
 // A full detection does not merge: it takes the Live() snapshot and
 // bulk-builds one fresh index over it, since every segment's share of an
 // all-points join would need a query tree over nearly the whole live set
@@ -16,10 +16,8 @@
 //     memtable reaches its cap it is FROZEN: a new immutable segment is
 //     bulk-built over its elements and the memtable empties.
 //   - Deletes are TOMBSTONES: a segment element is marked dead and kept in
-//     the arena; merged answers subtract the dead elements' contributions
-//     (a count probe subtracts the dead elements within the radius, a
-//     range query filters them, KNN over-fetches by the tombstone count).
-//     Memtable deletes splice the entry out directly.
+//     the arena; a count probe subtracts the dead elements within each
+//     radius. Memtable deletes splice the entry out directly.
 //   - COMPACTION rebuilds everything — all segments' live elements plus
 //     the memtable, in global id order — into ONE fresh segment with no
 //     tombstones. A compacted Mutable is literally a fresh bulk build
@@ -27,17 +25,17 @@
 //
 // Identity discipline: every insert takes a monotone sequence number (its
 // permanent handle); the live set in sequence order defines the DENSE
-// GLOBAL IDS 0..Size()-1 that all query answers are keyed by. Segments
-// are frozen in sequence order and the memtable holds the newest
-// elements, so walking segments in creation order and then the memtable,
-// skipping tombstones, enumerates the live set in global id order — and a
-// fresh index bulk-built over Live() assigns exactly the same ids, so
-// merged answers and fresh-build answers agree element for element.
+// GLOBAL IDS 0..Size()-1. Segments are frozen in sequence order and the
+// memtable holds the newest elements, so walking segments in creation
+// order and then the memtable, skipping tombstones, enumerates the live
+// set in global id order — the order Live() returns, so a fresh index
+// bulk-built over Live() sees the live set exactly as the merge does.
 //
 // Every merge is EXACT, never approximate: counts add across segments,
-// per-query minima (KNN) take the minimum, and tombstone corrections are
-// computed with real metric evaluations against the few dead elements. Per-segment radius fences (pivot distance vs. the
-// segment's covering radius) skip segments a query ball cannot touch.
+// and tombstone corrections are computed with real metric evaluations
+// against the few dead elements. Per-segment radius fences (pivot
+// distance vs. the segment's covering radius) skip segments a query ball
+// cannot touch.
 package segment
 
 import (
@@ -84,9 +82,6 @@ type seg[T any] struct {
 	// bit-equal to a fresh build even when a distance lands exactly on a
 	// radius.
 	deadTree index.Index[T]
-	// global maps local id → dense global id (-1 when dead); refreshed
-	// lazily by Mutable.refreshIDs.
-	global []int
 	// Radius fence: every element lies within maxR of pivot, so a query
 	// ball B(q, r) with d(q, pivot) - maxR > r cannot touch the segment
 	// (live or dead) and the whole segment is skipped.
@@ -105,10 +100,9 @@ func (s *seg[T]) fenced(dq, r float64) bool {
 	return dq-s.maxR > r+1e-9*(dq+s.maxR+r)
 }
 
-// Mutable is the incremental index: an index.Index (plus the point-query
-// extensions probes dispatch on) over a dataset that supports Insert
-// and Delete between queries. Methods are not safe for concurrent
-// mutation; the worker fan-out INSIDE one query call is.
+// Mutable is the incremental index: merged multi-radius count probes
+// and a live-set snapshot over a dataset that supports Insert and Delete
+// between queries. Methods are not safe for concurrent use.
 type Mutable[T any] struct {
 	d      metric.Distance[T]
 	build  index.Builder[T]
@@ -137,7 +131,6 @@ type Mutable[T any] struct {
 	// Dense-id cache, rebuilt lazily after any mutation.
 	idsDirty bool
 	refs     []loc // global id → location
-	memBase  int   // global id of the first memtable entry
 	live     int
 
 	// Bounding-box diameter fast path (see DeclareMonotone): the live
@@ -270,12 +263,11 @@ func (m *Mutable[T]) Compact() {
 // bulk-builds the arena tree and measures the pivot fence.
 func (m *Mutable[T]) newSeg(elems []T, seqs []int64) *seg[T] {
 	s := &seg[T]{
-		tree:   m.build(elems),
-		elems:  elems,
-		seqs:   seqs,
-		dead:   make([]bool, len(elems)),
-		global: make([]int, len(elems)),
-		pivot:  elems[0],
+		tree:  m.build(elems),
+		elems: elems,
+		seqs:  seqs,
+		dead:  make([]bool, len(elems)),
+		pivot: elems[0],
 	}
 	for _, x := range elems {
 		if r := m.d(s.pivot, x); r > s.maxR {
@@ -295,15 +287,11 @@ func (m *Mutable[T]) refreshIDs() {
 	m.refs = m.refs[:0]
 	for si, s := range m.segs {
 		for k := range s.elems {
-			if s.dead[k] {
-				s.global[k] = -1
-				continue
+			if !s.dead[k] {
+				m.refs = append(m.refs, loc{seg: si, local: k})
 			}
-			s.global[k] = len(m.refs)
-			m.refs = append(m.refs, loc{seg: si, local: k})
 		}
 	}
-	m.memBase = len(m.refs)
 	for k := range m.mem {
 		m.refs = append(m.refs, loc{seg: -1, local: k})
 	}

@@ -27,9 +27,13 @@ func randPoint(rng *rand.Rand, dim int) []float64 {
 	return p
 }
 
+// countAt returns m's merged live-neighbor count of q within r.
+func countAt(m *Mutable[[]float64], q []float64, r float64) int {
+	return m.RangeCountMultiAppend(q, []float64{r}, nil)[0]
+}
+
 // checkAgainstOracle compares every merged query of m against brute force
-// over the live set and against a fresh bulk build (which defines the
-// dense ids m must reproduce).
+// over the live set and against a fresh bulk build.
 func checkAgainstOracle(t *testing.T, m *Mutable[[]float64], build index.Builder[[]float64], radii []float64, queries [][]float64) {
 	t.Helper()
 	live := m.Live()
@@ -46,62 +50,14 @@ func checkAgainstOracle(t *testing.T, m *Mutable[[]float64], build index.Builder
 				want[e]++
 			}
 		}
-		got := m.RangeCountMulti(q, radii)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: RangeCountMulti = %v, brute force = %v", qi, got, want)
+		// Appended after a prefix the call must leave alone.
+		got := m.RangeCountMultiAppend(q, radii, []int{-1})
+		if got[0] != -1 || !reflect.DeepEqual(got[1:], want) {
+			t.Fatalf("query %d: RangeCountMultiAppend after [-1] = %v, brute force = %v", qi, got, want)
 		}
 		for e, r := range radii {
-			if c := m.RangeCount(q, r); c != want[e] {
-				t.Fatalf("query %d radius %v: RangeCount = %d, brute force = %d", qi, r, c, want[e])
-			}
-		}
-
-		// Range query ids: ascending dense ids of live elements within r.
-		r := radii[a/2]
-		var wantIDs []int
-		for g, x := range live {
-			if metric.Euclidean(q, x) <= r {
-				wantIDs = append(wantIDs, g)
-			}
-		}
-		gotIDs := m.RangeQuery(q, r)
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("query %d: RangeQuery ids = %v, brute force = %v", qi, gotIDs, wantIDs)
-		}
-		for i := range wantIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("query %d: RangeQuery ids = %v, brute force = %v", qi, gotIDs, wantIDs)
-			}
-		}
-
-		// KNN: top-k by (distance, id).
-		k := 3
-		type cand struct {
-			id int
-			d  float64
-		}
-		cands := make([]cand, len(live))
-		for g, x := range live {
-			cands[g] = cand{id: g, d: metric.Euclidean(q, x)}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].d != cands[j].d {
-				return cands[i].d < cands[j].d
-			}
-			return cands[i].id < cands[j].id
-		})
-		ids, dists := m.KNN(q, k)
-		wk := k
-		if wk > len(cands) {
-			wk = len(cands)
-		}
-		if len(ids) != wk {
-			t.Fatalf("query %d: KNN returned %d ids, want %d", qi, len(ids), wk)
-		}
-		for i := 0; i < wk; i++ {
-			if ids[i] != cands[i].id || dists[i] != cands[i].d {
-				t.Fatalf("query %d: KNN[%d] = (%d, %v), brute force = (%d, %v)",
-					qi, i, ids[i], dists[i], cands[i].id, cands[i].d)
+			if c := countAt(m, q, r); c != want[e] {
+				t.Fatalf("query %d radius %v: single-radius count = %d, brute force = %d", qi, r, c, want[e])
 			}
 		}
 	}
@@ -210,11 +166,8 @@ func TestAllPointsDeletedSegment(t *testing.T) {
 	if m2.Size() != 0 {
 		t.Fatalf("Size after deleting everything = %d", m2.Size())
 	}
-	if got := m2.RangeCount([]float64{0, 0}, 100); got != 0 {
-		t.Fatalf("RangeCount on empty live set = %d", got)
-	}
-	if ids, _ := m2.KNN([]float64{0, 0}, 3); len(ids) != 0 {
-		t.Fatalf("KNN on empty live set returned %v", ids)
+	if got := countAt(m2, []float64{0, 0}, 100); got != 0 {
+		t.Fatalf("count on empty live set = %d", got)
 	}
 	if d := m2.DiameterEstimate(); d != 0 {
 		t.Fatalf("DiameterEstimate on empty live set = %v", d)
@@ -244,21 +197,21 @@ func TestDeleteThenReinsert(t *testing.T) {
 	if m.Delete(999) {
 		t.Fatal("Delete of unknown handle = true")
 	}
-	if got := m.RangeCount(p, 0.1); got != 0 {
-		t.Fatalf("deleted element still counted: RangeCount = %d", got)
+	if got := countAt(m, p, 0.1); got != 0 {
+		t.Fatalf("deleted element still counted: count = %d", got)
 	}
 	h2 := m.Insert(p)
 	if h2 == h1 {
 		t.Fatalf("reinsert returned the old handle %d", h1)
 	}
-	if got := m.RangeCount(p, 0.1); got != 1 {
-		t.Fatalf("reinserted element not counted: RangeCount = %d", got)
+	if got := countAt(m, p, 0.1); got != 1 {
+		t.Fatalf("reinserted element not counted: count = %d", got)
 	}
 	if !m.Delete(h2) {
 		t.Fatal("Delete(h2) = false")
 	}
-	if got := m.RangeCount(p, 0.1); got != 0 {
-		t.Fatalf("after deleting the reinsert: RangeCount = %d", got)
+	if got := countAt(m, p, 0.1); got != 0 {
+		t.Fatalf("after deleting the reinsert: count = %d", got)
 	}
 }
 
@@ -282,7 +235,7 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 	liveBefore := m.Live()
 	counts := make([][]int, len(queries))
 	for i, q := range queries {
-		counts[i] = m.RangeCountMulti(q, radii)
+		counts[i] = m.RangeCountMultiAppend(q, radii, nil)
 	}
 	diam := m.DiameterEstimate()
 
@@ -295,7 +248,7 @@ func TestQueryStraddlingCompaction(t *testing.T) {
 		t.Fatal("Compact changed the live set or its order")
 	}
 	for i, q := range queries {
-		if got := m.RangeCountMulti(q, radii); !reflect.DeepEqual(got, counts[i]) {
+		if got := m.RangeCountMultiAppend(q, radii, nil); !reflect.DeepEqual(got, counts[i]) {
 			t.Fatalf("query %d: counts changed across Compact: %v vs %v", i, got, counts[i])
 		}
 	}

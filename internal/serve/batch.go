@@ -27,9 +27,12 @@ type waiter[T any] struct {
 	done chan batchResult
 }
 
-// batcher coalesces concurrent score-point requests into bounded-wait
-// micro-batches: a batch flushes the moment it reaches maxBatch queries
-// (on the arriving handler's goroutine — no handoff latency) or when the
+// batcher coalesces concurrent score-point requests by contention, in
+// the manner of flat combining: a query that arrives while no flush is
+// running ships at once on its own goroutine (no timer, no handoff), so
+// an idle engine answers without delay. Queries that arrive while a
+// flush runs queue, and the queue ships as one batch the moment the last
+// running flush returns, or on reaching maxBatch queries, or once its
 // oldest query has waited maxWait, whichever comes first. Each flush
 // answers the whole batch through ONE run call — one engine-lock
 // acquisition and one shared scratch buffer for the entire batch — which
@@ -44,6 +47,10 @@ type batcher[T any] struct {
 	pending []waiter[T]
 	timer   *time.Timer
 	closed  bool
+	// running counts the flushes in progress, whatever started them; a
+	// non-empty queue implies running > 0, because the flush that takes
+	// running to 0 ships the queue.
+	running int
 	// spare and qsSpare recycle the previous batch's slices (handed back
 	// by flush) so a steady request stream stops allocating per batch.
 	spare   []waiter[T]
@@ -61,9 +68,10 @@ func newBatcher[T any](maxBatch int, maxWait time.Duration, run func([]T) ([][]i
 	return &batcher[T]{run: run, maxBatch: maxBatch, maxWait: maxWait}
 }
 
-// Score enqueues one query and blocks until its micro-batch resolves,
-// returning the counts (owned by the caller) and the radii schedule they
-// were answered under (shared, read-only).
+// Score answers one query, shipping it at once when no flush is running
+// and otherwise queueing it for the next batch, and blocks until its
+// batch resolves. It returns the counts (owned by the caller) and the
+// radii schedule they were answered under (shared, read-only).
 func (b *batcher[T]) Score(q T) ([]int, []float64, error) {
 	done := donePool.Get().(chan batchResult)
 	b.mu.Lock()
@@ -76,7 +84,7 @@ func (b *batcher[T]) Score(q T) ([]int, []float64, error) {
 		b.pending, b.spare = b.spare[:0], nil
 	}
 	b.pending = append(b.pending, waiter[T]{q: q, done: done})
-	if len(b.pending) >= b.maxBatch || b.maxWait <= 0 {
+	if b.running == 0 || len(b.pending) >= b.maxBatch || b.maxWait <= 0 {
 		batch := b.take()
 		b.mu.Unlock()
 		b.flush(batch)
@@ -91,14 +99,17 @@ func (b *batcher[T]) Score(q T) ([]int, []float64, error) {
 	return r.counts, r.radii, r.err
 }
 
-// take detaches the pending batch and disarms its deadline; callers hold
-// b.mu.
+// take detaches the pending batch, disarms its deadline and counts the
+// flush it starts; callers hold b.mu and flush the batch.
 func (b *batcher[T]) take() []waiter[T] {
 	batch := b.pending
 	b.pending = nil
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
+	}
+	if len(batch) > 0 {
+		b.running++
 	}
 	return batch
 }
@@ -114,6 +125,10 @@ func (b *batcher[T]) timedFlush() {
 // flush answers one detached batch with a single run call and resolves
 // every waiter. A run error fails the whole batch — per-query conditions
 // (wrong dimensionality etc.) are the validator's job before enqueueing.
+// When it is the last flush running, it hands the queue that formed
+// behind it to a fresh goroutine, after its own waiters have their
+// answers: the caller that ran this flush replies without waiting for
+// the next one.
 func (b *batcher[T]) flush(batch []waiter[T]) {
 	if len(batch) == 0 {
 		return
@@ -144,12 +159,21 @@ func (b *batcher[T]) flush(batch []waiter[T]) {
 	if b.qsSpare == nil {
 		b.qsSpare = qs[:0]
 	}
+	b.running--
+	var next []waiter[T]
+	if b.running == 0 {
+		next = b.take()
+	}
 	b.mu.Unlock()
+	if len(next) > 0 {
+		go b.flush(next)
+	}
 }
 
-// Close flushes the pending batch and fails all later Score calls with
-// errClosed: every request that made it into the queue gets a real
-// answer, so a graceful shutdown never drops an accepted query.
+// Close flushes the queued batch without waiting for the running
+// flushes, and fails all later Score calls with errClosed: every request
+// that made it into the queue gets a real answer, so a graceful shutdown
+// never drops an accepted query.
 func (b *batcher[T]) Close() {
 	b.mu.Lock()
 	if b.closed {

@@ -6,10 +6,13 @@
 //
 // Two mechanisms make it hold up under heavy traffic:
 //
-//   - Request coalescing: concurrent score-point requests are gathered
-//     into bounded-wait micro-batches and answered through one batched
-//     multi-radius traversal per batch (one engine-lock acquisition, one
-//     shared scratch), instead of one index walk per request.
+//   - Request coalescing by contention: a score-point request that finds
+//     no batch in flight is answered at once; requests that arrive while
+//     one is in flight queue and ship together as the next batch, answered
+//     through one batched multi-radius traversal (one engine-lock
+//     acquisition, one shared scratch) instead of one index walk per
+//     request. Batches form only when the engine is busy, so one setting
+//     suits every client count.
 //   - Epoch-keyed caching: the expensive full detection Result is cached
 //     and served until a mutation moves the backend's epoch; Freeze and
 //     Compact don't move it (they cannot change an answer), so only real
@@ -231,18 +234,20 @@ func WithValidator[T any](f func(T) error) Option[T] {
 	return func(s *Server[T]) { s.validate = f }
 }
 
-// WithBatch sets the coalescing window: a score micro-batch flushes at
-// maxBatch queries or after the oldest has waited maxWait, whichever
-// comes first. maxBatch ≤ 1 or maxWait ≤ 0 disables coalescing (every
-// request flushes immediately).
+// WithBatch bounds score coalescing. A score that arrives while no batch
+// is in flight ships at once; later ones queue behind the running batch,
+// and the queue ships when that batch returns, at maxBatch queries, or
+// once its oldest query has waited maxWait, whichever comes first.
+// maxBatch ≤ 1 or maxWait ≤ 0 disables coalescing (every request ships
+// at once, whatever is in flight).
 func WithBatch[T any](maxBatch int, maxWait time.Duration) Option[T] {
 	return func(s *Server[T]) {
 		s.batch = newBatcher(maxBatch, maxWait, s.probeBatch)
 	}
 }
 
-// New returns a Server over b. Default coalescing window: 16 queries /
-// 500µs.
+// New returns a Server over b. Default coalescing bounds: 16 queries per
+// batch, 500µs of queueing behind a running batch.
 func New[T any](b Backend[T], opts ...Option[T]) *Server[T] {
 	s := &Server[T]{b: b}
 	s.batch = newBatcher(16, 500*time.Microsecond, s.probeBatch)
@@ -266,7 +271,7 @@ func (s *Server[T]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close begins shutdown: the pending score micro-batch is flushed (every
+// Close begins shutdown: the queued score batch is flushed (every
 // accepted query gets its real answer) and later score requests fail
 // with 503. Call it after the http.Server has stopped accepting new
 // connections (or concurrently — late arrivals just get the 503).

@@ -227,9 +227,34 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
-// TestShutdownWithInFlightBatches pins graceful shutdown: queries already
-// accepted into a pending micro-batch get their real answers when Close
-// flushes it, and later queries get 503.
+// heldBackend wraps a Backend so that its first ProbeBatch call signals
+// entered and then blocks until release is closed; later calls pass
+// straight through.
+type heldBackend[T any] struct {
+	Backend[T]
+	first   sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newHeldBackend[T any](b Backend[T]) *heldBackend[T] {
+	return &heldBackend[T]{Backend: b, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *heldBackend[T]) ProbeBatch(qs []T) ([][]int, []float64, error) {
+	first := false
+	h.first.Do(func() { first = true })
+	if first {
+		close(h.entered)
+		<-h.release
+	}
+	return h.Backend.ProbeBatch(qs)
+}
+
+// TestShutdownWithInFlightBatches pins graceful shutdown: queries queued
+// behind a running flush get their real answers when Close flushes them,
+// without waiting for that flush; the running flush still completes; and
+// later queries get 503.
 func TestShutdownWithInFlightBatches(t *testing.T) {
 	pts := testPoints(60, 5)
 	d, err := mccatch.BuildVectors(pts)
@@ -237,9 +262,15 @@ func TestShutdownWithInFlightBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	// maxBatch larger than the request count and a very long wait: the
-	// batch can only resolve through Close's flush.
-	s := New(ReadOnly(d), WithBatch[[]float64](64, time.Hour), WithValidator(vecValidator(2)))
+	// The first query's flush is held inside the backend, so the rest
+	// queue behind it. maxBatch above the request count and a very long
+	// wait leave Close's flush as the only way the queue can ship while
+	// the first flush is held.
+	hb := newHeldBackend(ReadOnly(d))
+	s := New[[]float64](hb, WithBatch[[]float64](64, time.Hour), WithValidator(vecValidator(2)))
+	defer s.Close()
+	release := sync.OnceFunc(func() { close(hb.release) })
+	defer release()
 
 	const inFlight = 6
 	want := make([][]int, inFlight)
@@ -248,44 +279,64 @@ func TestShutdownWithInFlightBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
 	errs := make(chan error, inFlight)
-	for i := 0; i < inFlight; i++ {
-		wg.Add(1)
+	score := func(i int) {
+		code, m := doQuiet(s, "POST", "/v1/score", scoreBody(pts[i]))
+		if code != http.StatusOK {
+			errs <- fmt.Errorf("in-flight request %d: status %d (%s)", i, code, m["error"])
+			return
+		}
+		var counts []int
+		if err := json.Unmarshal(m["counts"], &counts); err != nil {
+			errs <- err
+			return
+		}
+		if !reflect.DeepEqual(counts, want[i]) {
+			errs <- fmt.Errorf("in-flight request %d: counts %v, want %v", i, counts, want[i])
+		}
+	}
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		score(0)
+	}()
+	select {
+	case <-hb.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first query never reached the engine")
+	}
+	var queued sync.WaitGroup
+	for i := 1; i < inFlight; i++ {
+		queued.Add(1)
 		go func(i int) {
-			defer wg.Done()
-			code, m := doQuiet(s, "POST", "/v1/score", scoreBody(pts[i]))
-			if code != http.StatusOK {
-				errs <- fmt.Errorf("in-flight request %d: status %d (%s)", i, code, m["error"])
-				return
-			}
-			var counts []int
-			if err := json.Unmarshal(m["counts"], &counts); err != nil {
-				errs <- err
-				return
-			}
-			if !reflect.DeepEqual(counts, want[i]) {
-				errs <- fmt.Errorf("in-flight request %d: counts %v, want %v", i, counts, want[i])
-			}
+			defer queued.Done()
+			score(i)
 		}(i)
 	}
-	// Wait until all requests are actually enqueued in the pending batch,
-	// then shut down underneath them.
+	// Wait until the other requests are actually queued behind the held
+	// flush, then shut down underneath them.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s.batch.mu.Lock()
 		n := len(s.batch.pending)
 		s.batch.mu.Unlock()
-		if n == inFlight {
+		if n == inFlight-1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests enqueued", n, inFlight)
+			t.Fatalf("only %d/%d requests enqueued", n, inFlight-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	s.Close()
-	wg.Wait()
+	waitOrFail(t, &queued, "Close did not answer the queued requests while the first flush was held")
+	select {
+	case <-held:
+		t.Fatal("the held request was answered before its flush was released")
+	default:
+	}
+	release()
+	<-held
 	close(errs)
 	for err := range errs {
 		t.Error(err)
@@ -458,31 +509,211 @@ func TestEndpointsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatcherTimedFlush pins the bounded-wait half of the coalescer: a
-// lone query short of maxBatch still resolves after maxWait.
-func TestBatcherTimedFlush(t *testing.T) {
-	runs := 0
-	b := newBatcher(1000, 5*time.Millisecond, func(qs []int) ([][]int, []float64, error) {
-		runs++
-		out := make([][]int, len(qs))
-		for i, q := range qs {
-			out[i] = []int{q * 2}
+// hold is the query that heldEngine holds inside the engine.
+const hold = -1
+
+// heldEngine is a batcher run function over int queries: it records each
+// batch's size, answers query q with the counts {2q} under the radii
+// schedule {1}, and holds the batch led by hold until release is closed,
+// signalling entered once that batch is inside the engine.
+type heldEngine struct {
+	mu      sync.Mutex
+	sizes   []int
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newHeldEngine() *heldEngine {
+	return &heldEngine{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (e *heldEngine) run(qs []int) ([][]int, []float64, error) {
+	e.mu.Lock()
+	e.sizes = append(e.sizes, len(qs))
+	e.mu.Unlock()
+	if qs[0] == hold {
+		close(e.entered)
+		<-e.release
+	}
+	out := make([][]int, len(qs))
+	for i, q := range qs {
+		out[i] = []int{q * 2}
+	}
+	return out, []float64{1}, nil
+}
+
+func (e *heldEngine) batchSizes() []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]int(nil), e.sizes...)
+}
+
+// holdFlush starts a Score of hold on its own goroutine, waits until its
+// flush is inside the engine, and returns the channel its error arrives
+// on.
+func holdFlush(t *testing.T, b *batcher[int], e *heldEngine) <-chan error {
+	t.Helper()
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := b.Score(hold)
+		held <- err
+	}()
+	select {
+	case <-e.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held query never reached the engine")
+	}
+	return held
+}
+
+// waitOrFail waits for wg, failing the test with msg after 5s.
+func waitOrFail(t *testing.T, wg *sync.WaitGroup, msg string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal(msg)
+	}
+}
+
+// eventually polls cond until it holds, failing the test after 5s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
 		}
-		return out, []float64{1}, nil
-	})
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBatcherTimedFlush pins what maxWait bounds: a query queued behind
+// a stalled flush ships after about maxWait, while that flush is still
+// blocked.
+func TestBatcherTimedFlush(t *testing.T) {
+	const maxWait = 5 * time.Millisecond
+	e := newHeldEngine()
+	b := newBatcher(1000, maxWait, e.run)
 	defer b.Close()
+	release := sync.OnceFunc(func() { close(e.release) })
+	defer release()
+	held := holdFlush(t, b, e)
+
 	startAt := time.Now()
 	counts, radii, err := b.Score(21)
 	if err != nil {
 		t.Fatal(err)
 	}
+	waited := time.Since(startAt)
 	if !reflect.DeepEqual(counts, []int{42}) || !reflect.DeepEqual(radii, []float64{1}) {
 		t.Fatalf("counts = %v, radii = %v", counts, radii)
 	}
-	if waited := time.Since(startAt); waited > 3*time.Second {
+	if waited < maxWait {
+		t.Fatalf("queued query resolved after %v, before maxWait %v", waited, maxWait)
+	}
+	if waited > 3*time.Second {
 		t.Fatalf("timed flush took %v", waited)
 	}
-	if runs != 1 {
-		t.Fatalf("run called %d times, want 1", runs)
+	if sizes := e.batchSizes(); !reflect.DeepEqual(sizes, []int{1, 1}) {
+		t.Fatalf("batch sizes = %v, want [1 1]: the stalled flush and the timed one", sizes)
+	}
+	select {
+	case <-held:
+		t.Fatal("the stalled flush returned before its release")
+	default:
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatcherLoneQueryShipsAtOnce pins the idle half of the policy: a
+// query that finds no flush running ships at once, so even an hour-long
+// window adds no wait to it.
+func TestBatcherLoneQueryShipsAtOnce(t *testing.T) {
+	e := newHeldEngine()
+	b := newBatcher(16, time.Hour, e.run)
+	defer b.Close()
+	got := make(chan []int, 1)
+	go func() {
+		counts, _, _ := b.Score(21)
+		got <- counts
+	}()
+	select {
+	case counts := <-got:
+		if !reflect.DeepEqual(counts, []int{42}) {
+			t.Fatalf("counts = %v, want [42]", counts)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("a lone query waited for the window instead of shipping at once")
+	}
+}
+
+// TestBatcherQueueShipsWhenFlushReturns pins the busy half: queries that
+// arrive while a flush runs queue and ship as one batch the moment it
+// returns, with no wait for maxWait, and a queue that reaches maxBatch
+// ships on arrival while that flush still runs.
+func TestBatcherQueueShipsWhenFlushReturns(t *testing.T) {
+	const maxBatch = 4
+	for _, n := range []int{1, 3, maxBatch, maxBatch + 2, 2*maxBatch + 1} {
+		t.Run(fmt.Sprintf("queued=%d", n), func(t *testing.T) {
+			e := newHeldEngine()
+			b := newBatcher(maxBatch, time.Hour, e.run)
+			defer b.Close()
+			release := sync.OnceFunc(func() { close(e.release) })
+			defer release()
+			held := holdFlush(t, b, e)
+
+			var wg sync.WaitGroup
+			errs := make(chan error, n)
+			for q := 0; q < n; q++ {
+				wg.Add(1)
+				go func(q int) {
+					defer wg.Done()
+					counts, _, err := b.Score(q)
+					if err == nil && !reflect.DeepEqual(counts, []int{2 * q}) {
+						err = fmt.Errorf("query %d: counts %v, want [%d]", q, counts, 2*q)
+					}
+					if err != nil {
+						errs <- err
+					}
+				}(q)
+			}
+			want := []int{1}
+			for k := 0; k < n/maxBatch; k++ {
+				want = append(want, maxBatch)
+			}
+			eventually(t, "the full batches shipped and the rest queued behind the held flush", func() bool {
+				b.mu.Lock()
+				queued := len(b.pending)
+				b.mu.Unlock()
+				return len(e.batchSizes()) == len(want) && queued == n%maxBatch
+			})
+			if sizes := e.batchSizes(); !reflect.DeepEqual(sizes, want) {
+				t.Fatalf("while the first flush is held: batch sizes = %v, want %v", sizes, want)
+			}
+			release()
+			if err := <-held; err != nil {
+				t.Fatal(err)
+			}
+			waitOrFail(t, &wg, "the queue did not ship when the held flush returned")
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if r := n % maxBatch; r > 0 {
+				want = append(want, r)
+			}
+			if sizes := e.batchSizes(); !reflect.DeepEqual(sizes, want) {
+				t.Fatalf("batch sizes = %v, want %v", sizes, want)
+			}
+		})
 	}
 }
