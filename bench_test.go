@@ -149,15 +149,15 @@ func BenchmarkPipelineN10k2dParallel(b *testing.B) { benchPipelineWorkers(b, 100
 func BenchmarkPipelineN4k20dSerial(b *testing.B)   { benchPipelineWorkers(b, 4000, 20, 1) }
 func BenchmarkPipelineN4k20dParallel(b *testing.B) { benchPipelineWorkers(b, 4000, 20, 0) }
 
-// --- Shard-parallel pipeline (the WithShards microscope) ---
+// --- Sharded index (the WithShards microscope) ---
 //
-// The identical 10k x 2d workload as the Parallel pair above, run
-// through the sharded entry point: Sharded1 routes through the exact
-// same single-index pipeline (WithShards(1) is the default path), so
-// the CI pair gate 'Sharded1 < 1.1*Parallel' pins the option's
-// dispatch overhead near zero, while the 2- and 8-shard cells price
-// the partition build plus the cross-shard merge. Results are
-// deep-equal across all four benchmarks — only the work layout moves.
+// The identical 10k x 2d workload as the Parallel pair above, with the
+// full index cut into shards: under WithShards(1) core.BuildIndex
+// returns the plain builder's one tree, so the CI pair gate
+// 'Sharded1 < 1.1*Parallel' pins the option's overhead near zero,
+// while the 2- and 8-shard cells price the partition build plus the
+// cross-shard joins of Step II. Results are deep-equal across all four
+// benchmarks — only the work layout moves.
 
 func benchPipelineSharded(b *testing.B, shards int) {
 	b.Helper()

@@ -11,7 +11,7 @@
 //	mccatch -input data.csv
 //	mccatch -input names.txt -format text
 //	mccatch -input data.csv -a 15 -b 0.1 -c 0   # explicit hyperparameters
-//	mccatch -input data.csv -shards 4           # shard-parallel pipelines (identical output)
+//	mccatch -input data.csv -shards 4           # index cut into 4 shards (identical output)
 //
 // Build-once/query-many: -save-index builds the index from the input and
 // writes it to disk without detecting; -index-file reopens such a file
@@ -50,7 +50,7 @@ func main() {
 		summary = flag.Bool("summary", false, "print the explainability summary (radii, cutoff, ranked mcs)")
 		explain = flag.Int("explain", -1, "explain why one point (by index) scored the way it did")
 		workers = flag.Int("workers", 0, "concurrent workers (0 = all cores, 1 = serial; output is identical)")
-		shards  = flag.Int("shards", 0, "concurrent per-shard pipelines (0 = default 1; output is identical for every value)")
+		shards  = flag.Int("shards", 0, "cut the index into this many shards, built and self-joined concurrently (0 = default 1; output is identical for every value)")
 		insert  = flag.Bool("insertion-build", false, "build slim-trees with the legacy insert path instead of bulk loading (slower; output is identical)")
 		incr    = flag.Bool("incremental", false, "feed the data through the mutable incremental layer (insert-all, detect; output is identical)")
 		saveIdx = flag.String("save-index", "", "build the index from the input, save it to this file, and exit without detecting")

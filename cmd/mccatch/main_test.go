@@ -121,8 +121,8 @@ func detectOneShot(format string, r io.Reader, opts []mccatch.Option) (*mccatch.
 
 // TestIncrementalCLIByteIdentical pins the acceptance criterion: feeding
 // a dataset through the incremental layer (-incremental: insert-all,
-// compact, detect) prints byte-identical output to the one-shot path, on
-// both a CSV and a text dataset.
+// detect) prints byte-identical output to the one-shot path, on both a
+// CSV and a text dataset.
 func TestIncrementalCLIByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		format, data string

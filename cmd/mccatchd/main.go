@@ -47,7 +47,7 @@ func main() {
 		b         = flag.Float64("b", -1, "maximum plateau slope (<0 = default 0.1)")
 		c         = flag.Int("c", 0, "maximum microcluster cardinality (0 = ceil(n*0.1))")
 		workers   = flag.Int("workers", 0, "concurrent workers inside one detection (0 = all cores)")
-		shards    = flag.Int("shards", 0, "concurrent per-shard pipelines inside one detection (0 = default 1; mutable servers only)")
+		shards    = flag.Int("shards", 0, "cut each detection's index into this many shards, built and self-joined concurrently (0 = default 1; mutable servers only)")
 		batch     = flag.Int("batch", 16, "score coalescing: ship the queue behind a running batch at this many queries (1 disables coalescing)")
 		batchWait = flag.Duration("batch-wait", 500*time.Microsecond, "score coalescing: ship the queue behind a running batch once its oldest query waited this long (0 disables coalescing)")
 	)

@@ -42,9 +42,7 @@ import (
 	"mccatch/internal/index"
 	"mccatch/internal/kdtree"
 	"mccatch/internal/metric"
-	"mccatch/internal/parallel"
 	"mccatch/internal/rtree"
-	"mccatch/internal/shard"
 	"mccatch/internal/slimtree"
 )
 
@@ -74,17 +72,12 @@ var (
 // Detector is a built or opened MCCATCH index plus its fixed
 // hyperparameters. The zero value is not usable; see the constructors.
 type Detector[T any] struct {
-	items   []T
+	items []T
+	// tree is the full index: one tree, or under WithShards(n), n > 1,
+	// one tree per part joined as one index (core.BuildIndex).
 	tree    index.Index[T]
 	builder index.Builder[T]
 	params  core.Params
-
-	// Sharded state (WithShards(n), n > 1): the partition and one index
-	// per part, built once here and reused by every Detect. tree is nil
-	// exactly when set is non-nil; the derived reads (Radii, Probe)
-	// answer from the partition instead.
-	set    *shard.Set[T]
-	strees []index.Index[T]
 
 	// radii caches the derived schedule; radiiOnce makes the lazy
 	// derivation safe under concurrent readers (the read-concurrency
@@ -111,21 +104,13 @@ func Build[T any](items []T, dist Distance[T], opts ...Option) (*Detector[T], er
 	return newDetector(items, dist, core.SlimBuilder(dist, p), p, false), nil
 }
 
-// newDetector finishes every Build* constructor: single-index mode
-// builds the one full tree; sharded mode (params.Shards > 1) cuts the
-// dataset with the deterministic partitioner and builds one index per
-// part instead. euclidean declares dist is the Euclidean metric on
-// vectors (selecting the tile cut; see shard.Build).
+// newDetector finishes every Build* constructor with the full index
+// core.BuildIndex builds: the one tree, or one per part of a
+// deterministic partition under params.Shards > 1. euclidean declares
+// dist is the Euclidean metric on vectors (selecting the tile cut; see
+// shard.Build).
 func newDetector[T any](items []T, dist metric.Distance[T], builder index.Builder[T], p core.Params, euclidean bool) *Detector[T] {
-	if p.Shards > 1 {
-		set := shard.Build(items, dist, p.Shards, p.Workers, euclidean)
-		strees := make([]index.Index[T], len(set.Parts))
-		parallel.For(p.Workers, len(strees), func(s int) {
-			strees[s] = builder(set.Parts[s].Items)
-		})
-		return &Detector[T]{items: items, builder: builder, params: p, set: set, strees: strees}
-	}
-	return &Detector[T]{items: items, tree: builder(items), builder: builder, params: p}
+	return &Detector[T]{items: items, tree: core.BuildIndex(items, dist, builder, p, euclidean), builder: builder, params: p}
 }
 
 // resolveSlimCapacity pins the node capacity a slim-tree backend will
@@ -141,21 +126,34 @@ func resolveSlimCapacity(p *core.Params) {
 
 // BuildVectors indexes vector data for detection under the Euclidean
 // distance with the transformation cost set to the dimensionality — the
-// counterpart of RunVectors, down to the same backend choice: the STR
-// bulk-loaded R-tree unless a slim-tree-specific option
-// (WithTreeCapacity, WithInsertionBuild, WithSlimDown) moves it to the
-// slim-tree. Points must share one dimension and be free of
+// counterpart of RunVectors, down to the same backend choice
+// (vectorBuilder). Points must share one dimension and be free of
 // NaN/Inf values.
 func BuildVectors(points [][]float64, opts ...Option) (*Detector[[]float64], error) {
 	p, err := vectorParams(points, opts)
 	if err != nil {
 		return nil, err
 	}
+	builder := vectorBuilder(&p)
+	return newDetector(points, metric.Euclidean, builder, p, true), nil
+}
+
+// vectorBuilder is the vector backend BuildVectors and
+// NewIncrementalVectors choose under p: the STR bulk-loaded R-tree at
+// the default fanout, unless a slim-tree-specific option
+// (WithTreeCapacity, WithInsertionBuild, WithSlimDown) moves it to the
+// slim-tree, whose resolved capacity it then pins into p.
+func vectorBuilder(p *core.Params) index.Builder[[]float64] {
 	if p.TreeCapacity != 0 || p.InsertionBuild || p.SlimDownPasses > 0 {
-		resolveSlimCapacity(&p)
-		return newDetector(points, metric.Euclidean, core.SlimBuilder(metric.Euclidean, p), p, true), nil
+		resolveSlimCapacity(p)
+		return core.SlimBuilder(metric.Euclidean, *p)
 	}
-	return buildVectorsR(points, p, 0)
+	return rtreeBuilder(0, p.Workers)
+}
+
+// rtreeBuilder builds STR bulk-loaded R-trees at fanout (0 = default).
+func rtreeBuilder(fanout, workers int) index.Builder[[]float64] {
+	return func(sub [][]float64) index.Index[[]float64] { return rtree.NewWithWorkers(sub, fanout, workers) }
 }
 
 // BuildVectorsSlim is BuildVectors pinned to the slim-tree backend
@@ -187,12 +185,7 @@ func BuildVectorsR(points [][]float64, opts ...Option) (*Detector[[]float64], er
 	if err != nil {
 		return nil, err
 	}
-	return buildVectorsR(points, p, 0)
-}
-
-func buildVectorsR(points [][]float64, p core.Params, fanout int) (*Detector[[]float64], error) {
-	builder := func(sub [][]float64) index.Index[[]float64] { return rtree.NewWithWorkers(sub, fanout, p.Workers) }
-	return newDetector(points, metric.Euclidean, builder, p, true), nil
+	return newDetector(points, metric.Euclidean, rtreeBuilder(0, p.Workers), p, true), nil
 }
 
 // vectorParams validates the points, seeds the vector transformation
@@ -273,9 +266,7 @@ func openVectors(path string, aopts []arena.Option, opts []Option) (*Detector[[]
 			return nil, err
 		}
 		tree, items, dim = t, t.Items(), t.Dim()
-		builder = func(p core.Params) index.Builder[[]float64] {
-			return func(sub [][]float64) index.Index[[]float64] { return rtree.NewWithWorkers(sub, t.Fanout(), p.Workers) }
-		}
+		builder = func(p core.Params) index.Builder[[]float64] { return rtreeBuilder(t.Fanout(), p.Workers) }
 	case arena.KindSlimVec:
 		t, err := slimtree.OpenVec(path, aopts...)
 		if err != nil {
@@ -356,19 +347,11 @@ func (d *Detector[T]) Detect() (*Result, error) {
 	if d.closed.Load() {
 		return nil, ErrDetectorClosed
 	}
-	if d.set != nil {
-		return core.RunShardedPrebuilt(d.items, d.set, d.strees, d.builder, d.params)
-	}
 	return core.RunPrebuilt(d.items, d.tree, d.builder, d.params)
 }
 
 // Size returns the number of indexed elements.
-func (d *Detector[T]) Size() int {
-	if d.set != nil {
-		return len(d.items)
-	}
-	return d.tree.Size()
-}
+func (d *Detector[T]) Size() int { return d.tree.Size() }
 
 // Items returns the indexed elements in id order — the slice Detect's
 // Result indices refer to. For opened vector detectors the elements are
@@ -388,13 +371,7 @@ func (d *Detector[T]) Radii() []float64 {
 		if a == 0 {
 			a = core.DefaultNumRadii
 		}
-		l := 0.0
-		if d.set != nil {
-			l = d.set.Diam // what a single full index would estimate
-		} else {
-			l = d.tree.DiameterEstimate()
-		}
-		if l > 0 {
+		if l := d.tree.DiameterEstimate(); l > 0 {
 			d.radii = core.MakeRadii(l, a)
 		}
 	})
@@ -424,65 +401,49 @@ func (d *Detector[T]) ProbeAppend(q T, dst []int) ([]int, error) {
 	if len(radii) == 0 {
 		return dst, nil
 	}
-	if d.set != nil {
-		// The global curve is the elementwise sum of per-shard curves —
-		// exact, because the parts partition the dataset.
-		base := len(dst)
-		dst = index.RangeCountMultiAppend(d.strees[0], q, radii, dst)
-		tmp := make([]int, 0, len(radii))
-		for _, t := range d.strees[1:] {
-			tmp = index.RangeCountMultiAppend(t, q, radii, tmp[:0])
-			for e, c := range tmp {
-				dst[base+e] += c
-			}
-		}
-		return dst, nil
-	}
 	return index.RangeCountMultiAppend(d.tree, q, radii, dst), nil
 }
 
 // Save writes the detector's index (structure, data, and prefilters —
 // everything queries touch) to w in the versioned arena format. Only
-// the bundled backends persist; a detector over a custom index type
-// reports an error.
+// the bundled backends persist; a sharded detector reports an error.
 func (d *Detector[T]) Save(w io.Writer) error {
-	if d.closed.Load() {
-		return ErrDetectorClosed
+	f, err := d.indexFile()
+	if err != nil {
+		return err
 	}
-	if d.set != nil {
-		return fmt.Errorf("mccatch: a sharded detector has no on-disk format; build with WithShards(1) to save")
-	}
-	switch t := any(d.tree).(type) {
-	case *kdtree.Tree:
-		return t.Save(w)
-	case *rtree.Tree:
-		return t.Save(w)
-	case *slimtree.Tree[T]:
-		return t.Save(w)
-	default:
-		return fmt.Errorf("mccatch: index type %T has no on-disk format", d.tree)
-	}
+	return f.Save(w)
 }
 
 // WriteFile saves the detector's index to path, atomically (temp file +
 // rename in the destination directory).
 func (d *Detector[T]) WriteFile(path string) error {
-	if d.closed.Load() {
-		return ErrDetectorClosed
+	f, err := d.indexFile()
+	if err != nil {
+		return err
 	}
-	if d.set != nil {
-		return fmt.Errorf("mccatch: a sharded detector has no on-disk format; build with WithShards(1) to save")
+	return f.WriteFile(path)
+}
+
+// indexFile returns the detector's index as the on-disk form the
+// bundled trees share, or the reason it has none.
+func (d *Detector[T]) indexFile() (interface {
+	Save(io.Writer) error
+	WriteFile(path string) error
+}, error) {
+	if d.closed.Load() {
+		return nil, ErrDetectorClosed
 	}
 	switch t := any(d.tree).(type) {
 	case *kdtree.Tree:
-		return t.WriteFile(path)
+		return t, nil
 	case *rtree.Tree:
-		return t.WriteFile(path)
+		return t, nil
 	case *slimtree.Tree[T]:
-		return t.WriteFile(path)
-	default:
-		return fmt.Errorf("mccatch: index type %T has no on-disk format", d.tree)
+		return t, nil
 	}
+	// Every unsharded detector holds one of the bundled trees above.
+	return nil, fmt.Errorf("mccatch: a sharded detector has no on-disk format; build with WithShards(1) to save")
 }
 
 // Close releases the file mapping behind an opened detector. It is a

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -217,6 +218,78 @@ func TestDetectorProbe(t *testing.T) {
 	if counts[len(counts)-1] != len(pts) {
 		t.Fatalf("count at the diameter radius = %d, want n = %d", counts[len(counts)-1], len(pts))
 	}
+}
+
+// TestProbeAppendAllocationFree pins ProbeAppend's promise: with a
+// reused dst a probe allocates nothing, on every backend, whether the
+// index is one tree or cut into 2 or 8 parts, and the sharded curves
+// match the unsharded ones.
+func TestProbeAppendAllocationFree(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector drops pooled traversal scratch at random")
+	}
+	pts := detectorPoints(300, 11)
+	queries := [][]float64{pts[3], {50, 50, 50}, {900, 10, 10}}
+	words := make([]string, 0, 200)
+	for i := 0; i < 200; i++ {
+		words = append(words, fmt.Sprintf("w%03dx%d", (i*37)%211, i%7))
+	}
+	wordQueries := []string{words[5], "w100x3", "zzzzzzzzzzzz"}
+	check := func(name string, probe func(shards int) func(dst []int) []int) {
+		want := probe(1)(nil)
+		for _, shards := range []int{1, 2, 8} {
+			f := probe(shards)
+			dst := f(nil)
+			if !reflect.DeepEqual(dst, want) {
+				t.Errorf("%s shards=%d: curve %v, unsharded %v", name, shards, dst, want)
+			}
+			if n := testing.AllocsPerRun(20, func() { dst = f(dst[:0]) }); n != 0 {
+				t.Errorf("%s shards=%d: ProbeAppend allocates %v times per call with a reused dst, want 0", name, shards, n)
+			}
+		}
+	}
+	vectors := func(build func([][]float64, ...Option) (*Detector[[]float64], error)) func(int) func([]int) []int {
+		return func(shards int) func([]int) []int {
+			d, err := build(pts, WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(dst []int) []int {
+				for _, q := range queries {
+					dst, _ = d.ProbeAppend(q, dst)
+				}
+				return dst
+			}
+		}
+	}
+	check("kd", vectors(BuildVectorsKD))
+	check("r", vectors(BuildVectorsR))
+	check("slim", vectors(BuildVectorsSlim))
+	check("strings", func(shards int) func([]int) []int {
+		d, err := BuildStrings(words, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(dst []int) []int {
+			for _, q := range wordQueries {
+				dst, _ = d.ProbeAppend(q, dst)
+			}
+			return dst
+		}
+	})
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 // openedDetectors builds one detector per lifecycle-relevant backing:

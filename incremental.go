@@ -7,7 +7,6 @@ import (
 	"mccatch/internal/core"
 	"mccatch/internal/index"
 	"mccatch/internal/metric"
-	"mccatch/internal/rtree"
 	"mccatch/internal/segment"
 )
 
@@ -31,7 +30,7 @@ type Incremental[T any] struct {
 	builder  index.Builder[T]
 	params   core.Params
 	validate func(T) error
-	// dist and euclidean feed Detect's fresh run over the live set;
+	// dist and euclidean feed Detect's fresh build over the live set;
 	// euclidean marks the vector constructor so a sharded Detect
 	// (WithShards > 1) can cut the live set into tiles.
 	dist      Distance[T]
@@ -76,13 +75,7 @@ func NewIncrementalVectors(dim int, opts ...Option) (*Incremental[[]float64], er
 	if err := applyOptions(&p, append([]Option{WithVectorCost(dim)}, opts...)); err != nil {
 		return nil, err
 	}
-	var builder index.Builder[[]float64]
-	if p.TreeCapacity != 0 || p.InsertionBuild || p.SlimDownPasses > 0 {
-		resolveSlimCapacity(&p)
-		builder = core.SlimBuilder(metric.Euclidean, p)
-	} else {
-		builder = func(sub [][]float64) index.Index[[]float64] { return rtree.NewWithWorkers(sub, 0, p.Workers) }
-	}
+	builder := vectorBuilder(&p)
 	inc := &Incremental[[]float64]{
 		m:         segment.NewMutable(metric.Euclidean, builder, 0),
 		builder:   builder,
@@ -150,21 +143,19 @@ func (inc *Incremental[T]) Tombstones() int { return inc.m.Tombstones() }
 func (inc *Incremental[T]) SetMemtableCap(n int) { inc.m.SetMemtableCap(n) }
 
 // Detect runs MCCATCH over a snapshot of the current live set: one bulk
-// build of the detector's index over the live elements, then the batch
-// pipeline, exactly as a one-shot run over them. The Result is therefore
-// identical to that run's. Detect reads the incremental layer without
-// reorganizing it: segments, tombstones, the memtable and the epoch are
-// the same afterwards, and so is every Probe answer.
-//
-// Under WithShards(n), n > 1, the snapshot runs through the
-// shard-parallel pipeline over a fresh deterministic partition of it
-// instead; the shard merge is exact, so the Result is still identical.
+// build of the detector's full index over the live elements
+// (core.BuildIndex, so under WithShards(n), n > 1, one tree per part of
+// a fresh deterministic partition), then the batch pipeline, exactly as
+// a one-shot run over them. The Result is therefore identical to that
+// run's. Detect reads the incremental layer without reorganizing it:
+// segments, tombstones, the memtable and the epoch are the same
+// afterwards, and so is every Probe answer.
 func (inc *Incremental[T]) Detect() (*Result, error) {
 	live := inc.m.Live()
-	if inc.params.Shards > 1 {
-		return core.RunSharded(live, inc.dist, inc.builder, inc.params, inc.euclidean)
+	if len(live) == 0 {
+		return nil, core.ErrEmptyDataset
 	}
-	return core.RunWithIndex(live, inc.dist, inc.builder, inc.params)
+	return core.RunPrebuilt(live, core.BuildIndex(live, inc.dist, inc.builder, inc.params, inc.euclidean), inc.builder, inc.params)
 }
 
 // Epoch returns the live-set mutation counter: it changes exactly when

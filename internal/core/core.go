@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"mccatch/internal/index"
-	"mccatch/internal/join"
 	"mccatch/internal/metric"
 	"mccatch/internal/slimtree"
 )
@@ -68,9 +67,9 @@ type Params struct {
 	// Results are identical for every value: workers write into
 	// preallocated per-index slots and no reduction order is observable.
 	Workers int
-	// Shards is the number of data partitions the pipeline runs as
-	// concurrent per-shard pipelines with an exact cross-shard merge
-	// (RunSharded). 0 → 1; 1 is the single-index path. The Result is
+	// Shards is the number of disjoint parts the full index is cut
+	// into, one tree per part, joined as one index over their union
+	// (BuildIndex). 0 → 1; 1 is the single-index path. The Result is
 	// deep-equal for every value — sharding, like Workers, only moves
 	// where the work happens.
 	Shards int
@@ -187,31 +186,26 @@ func SlimBuilder[T any](dist metric.Distance[T], params Params) index.Builder[T]
 
 // RunWithIndex executes MCCATCH using a caller-supplied access method —
 // e.g. a kd-tree for main-memory vector data (paper footnote 4). The
-// builder is invoked for the full dataset and for the sub-sets the
-// algorithm indexes along the way (group candidates, inliers).
+// builder is invoked for the full dataset (through BuildIndex, so
+// Params.Shards > 1 cuts it into pivot Voronoi cells) and for the
+// sub-sets the algorithm indexes along the way (group candidates,
+// inliers).
 func RunWithIndex[T any](items []T, dist metric.Distance[T], builder index.Builder[T], params Params) (*Result, error) {
-	if params.Shards > 1 {
-		return RunSharded(items, dist, builder, params, false)
+	if len(items) == 0 {
+		return nil, ErrEmptyDataset
 	}
-	return pipeline(items, nil, builder, params)
+	return RunPrebuilt(items, BuildIndex(items, dist, builder, params, false), builder, params)
 }
 
-// RunPrebuilt executes MCCATCH over an ALREADY-BUILT full index — the
-// build-once/query-many path behind the public Detector handle (and its
-// file-opened form, where tree is a mapping over an index file). items
-// must be the indexed elements in id order; builder is used only for the
-// small throwaway trees of Step III's gelling and Step IV's inlier index,
-// and must match the access method of tree for the Result to be
+// RunPrebuilt is the four-step driver every detection runs: MCCATCH
+// over an ALREADY-BUILT full index — fresh from RunWithIndex, held by
+// the public Detector handle, or a mapping over an index file. items
+// must be the indexed elements in id order; builder is used only for
+// the small throwaway trees of Step III's gelling and Step IV's inlier
+// index, and must match the access method of tree for the Result to be
 // byte-identical with a fresh RunWithIndex over the same items (all
 // backends agree on vector data, so there it only moves constants).
 func RunPrebuilt[T any](items []T, tree index.Index[T], builder index.Builder[T], params Params) (*Result, error) {
-	return pipeline(items, tree, builder, params)
-}
-
-// pipeline is the shared four-step driver: the full index is prebuilt
-// (non-nil) or freshly built, and Step IV's inlier index is freshly
-// built over the inlier subset.
-func pipeline[T any](items []T, prebuilt index.Index[T], builder index.Builder[T], params Params) (*Result, error) {
 	n := len(items)
 	if n == 0 {
 		return nil, ErrEmptyDataset
@@ -220,18 +214,8 @@ func pipeline[T any](items []T, prebuilt index.Index[T], builder index.Builder[T
 	if err != nil {
 		return nil, err
 	}
-	if p.Shards > 1 {
-		// Sharded runs must come in through RunSharded (or an entry point
-		// that routes there): this single-index driver cannot honor the
-		// partitioned build.
-		return nil, fmt.Errorf("core: Shards = %d requires a sharded entry point", p.Shards)
-	}
 
 	// Step I — define the neighborhood radii (Alg. 1 L1-3).
-	tree := prebuilt
-	if tree == nil {
-		tree = builder(items)
-	}
 	l := tree.DiameterEstimate()
 	res := &Result{
 		PointScores: make([]float64, n),
@@ -248,26 +232,16 @@ func pipeline[T any](items []T, prebuilt index.Index[T], builder index.Builder[T
 		}
 		return res, nil
 	}
-	radii := MakeRadii(l, p.NumRadii)
-	res.Radii = radii
+	res.Radii = MakeRadii(l, p.NumRadii)
 
 	// Step II — build the 'Oracle' plot (Alg. 2).
-	buildOraclePlot(tree, items, radii, p, res)
+	buildOraclePlot(tree, items, p, res)
 
-	// Step III — spot the microclusters (Alg. 3). The gel pairs come from
-	// one self-join over a throwaway tree of the group candidates.
-	gelPairs := func(_ []int, groupItems []T, r float64) [][2]int {
-		t := builder(groupItems)
-		return join.SelfPairs(t, groupItems, r, p.Workers)
-	}
-	mcs := spotMCs(items, gelPairs, res)
+	// Step III — spot the microclusters (Alg. 3).
+	mcs := spotMCs(items, builder, p.Workers, res)
 
-	// Step IV — compute the anomaly scores (Alg. 4) against a fresh
-	// build over the inliers.
-	bridgeFirsts := func(outItems, inItems []T, _ []bool) []int {
-		return join.BridgeRadii(builder(inItems), outItems, radii, p.Workers)
-	}
-	scoreMCs(items, bridgeFirsts, mcs, p, res)
+	// Step IV — compute the anomaly scores (Alg. 4).
+	scoreMCs(items, builder, mcs, p, res)
 
 	sortMicroclusters(res.Microclusters)
 	return res, nil

@@ -125,7 +125,7 @@ func FuzzShardEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, euclidean := range []bool{true, false} {
-			got, err := RunSharded(pts, metric.Euclidean, builder,
+			got, err := runSharded(pts, metric.Euclidean, builder,
 				Params{Workers: 2, Shards: shards}, euclidean)
 			if err != nil {
 				t.Fatal(err)

@@ -21,20 +21,10 @@ type plateau struct {
 // gated per-point batched probes otherwise), extracts each point's
 // plateaus, and fills res.OracleX (1NN Distance = first-plateau length)
 // and res.OracleY (Group 1NN Distance = middle-plateau length).
-func buildOraclePlot[T any](tree index.Index[T], items []T, radii []float64, p Params, res *Result) {
+func buildOraclePlot[T any](tree index.Index[T], items []T, p Params, res *Result) {
+	radii := res.Radii
 	counts := join.SelfMultiRadiusCounts(tree, items, radii, p.MaxCardinality, true, p.Workers)
-	oracleFromCounts(counts, len(items), radii, p, res)
-}
-
-// oracleFromCounts is Alg. 2's plateau half over an already-computed
-// GATED counts matrix (counts[e][i] following join.GateCounts's
-// semantics): it extracts each point's plateaus and fills res.OracleX
-// and res.OracleY. Split out of buildOraclePlot so the shard-parallel
-// pipeline — which assembles the matrix by summing per-shard and
-// cross-shard joins before gating — shares the plateau extraction bit
-// for bit.
-func oracleFromCounts(counts [][]int, n int, radii []float64, p Params, res *Result) {
-	parallel.For(p.Workers, n, func(i int) {
+	parallel.For(p.Workers, len(items), func(i int) {
 		q := make([]int, len(radii))
 		for e := range radii {
 			q[e] = counts[e][i]

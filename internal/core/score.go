@@ -3,23 +3,18 @@ package core
 import (
 	"math"
 
+	"mccatch/internal/index"
+	"mccatch/internal/join"
 	"mccatch/internal/mdl"
 	"mccatch/internal/parallel"
 )
 
 // scoreMCs runs Alg. 4: it finds each outlier's distance to its nearest
-// inlier via per-radius joins, derives every microcluster's Bridge's Length
-// ĝ(j), and computes the compression-based scores s_j (Def. 7) and the
-// per-point scores w_i. bridgeFirsts answers the bridge searches: given
-// the outlier items (ascending global id order), the inlier items (same
-// order) and the full outlier mask, it returns for each outlier the
-// smallest radius index at which some inlier is within reach
-// (join.BridgeRadii semantics: 0 = within radii[0], len(radii) = none
-// within the diameter). The single-index pipeline builds a fresh inlier
-// tree and the sharded pipeline min-merges per-shard bridge joins — both
-// exact, so the scores agree bit for bit. bridgeFirsts is never called
-// when there are no inliers (the degenerate branch below) or no outliers.
-func scoreMCs[T any](items []T, bridgeFirsts func(outItems []T, inItems []T, isOutlier []bool) []int, mcs [][]int, p Params, res *Result) {
+// inlier via per-radius joins against a fresh builder tree over the
+// inliers, derives every microcluster's Bridge's Length ĝ(j), and
+// computes the compression-based scores s_j (Def. 7) and the per-point
+// scores w_i.
+func scoreMCs[T any](items []T, builder index.Builder[T], mcs [][]int, p Params, res *Result) {
 	n := len(items)
 	radii := res.Radii
 	r1 := radii[0]
@@ -57,7 +52,7 @@ func scoreMCs[T any](items []T, bridgeFirsts func(outItems []T, inItems []T, isO
 				g[i] = radii[len(radii)-1]
 			}
 		} else {
-			firsts := bridgeFirsts(outItems, inItems, isOutlier)
+			firsts := join.BridgeRadii(builder(inItems), outItems, radii, p.Workers)
 			for k, i := range outIdx {
 				e := firsts[k]
 				switch {

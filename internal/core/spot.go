@@ -1,6 +1,8 @@
 package core
 
 import (
+	"mccatch/internal/index"
+	"mccatch/internal/join"
 	"mccatch/internal/mdl"
 	"mccatch/internal/unionfind"
 )
@@ -8,17 +10,10 @@ import (
 // spotMCs runs Alg. 3: it builds the Histogram of 1NN Distances, derives
 // the cutoff d by MDL partitioning, and gels the outliers into disjoint
 // microclusters. It returns the member lists (unsorted, unscored) and
-// fills res.Histogram, res.Cutoff and res.CutoffIndex.
-//
-// gelPairs supplies the neighbor pairs that gel the group candidates:
-// given the candidates (global ids groupIdx, their items, ascending id
-// order) and the gel radius, it returns every unordered pair of
-// candidates within the radius as indices into groupIdx, each pair at
-// least once (duplicates are harmless — they meet a union-find). The
-// one-shot closure runs one self-join over a throwaway tree; the
-// sharded closure splits the same pair set into per-shard self-joins
-// plus cross-shard range probes.
-func spotMCs[T any](items []T, gelPairs func(groupIdx []int, groupItems []T, r float64) [][2]int, res *Result) [][]int {
+// fills res.Histogram, res.Cutoff and res.CutoffIndex. The gel pairs
+// come from one self-join over a throwaway builder tree of the group
+// candidates.
+func spotMCs[T any](items []T, builder index.Builder[T], workers int, res *Result) [][]int {
 	radii := res.Radii
 	a := len(radii)
 
@@ -87,7 +82,7 @@ func spotMCs[T any](items []T, gelPairs func(groupIdx []int, groupItems []T, r f
 		if e+1 < a {
 			e++
 		}
-		pairs := gelPairs(groupIdx, groupItems, radii[e])
+		pairs := join.SelfPairs(builder(groupItems), groupItems, radii[e], workers)
 
 		dsu := unionfind.New(len(groupIdx))
 		for _, pr := range pairs {

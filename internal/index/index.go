@@ -20,9 +20,9 @@
 //     (the slim-tree with covering-ball bounds, the kd-tree and R-tree
 //     with min/max box-distance bounds); join.SelfMultiRadiusCounts falls
 //     back to gated per-point probes for any other backend. With a
-//     CrossCounter beside it, join.StagedCounts runs the self-join only
-//     up to a split radius and counts the rest for the points not yet
-//     excused.
+//     CrossCounter beside it, join.SelfMultiRadiusCounts runs the
+//     self-join only up to a split radius and counts the rest for the
+//     points not yet excused.
 //   - CrossMultiCounter answers the Step IV bridge search — for every
 //     outlier, the first radius with an inlier neighbor — from ONE dual
 //     traversal of the inlier index against a throwaway tree over the
@@ -32,6 +32,12 @@
 //   - QueryAppender lets callers pass a reusable scratch buffer to range
 //     queries, cutting per-probe garbage on the hot paths.
 //   - KNNer exposes k-nearest-neighbor search where a backend has one.
+//
+// A sharded index (core.BuildIndex under Params.Shards > 1) is an Index
+// over the disjoint union of several trees, one per part: it sums their
+// counts, maps their ids back to global ones, and implements
+// MultiCountAppender, SelfMultiCounter and CrossCounter on top of the
+// parts' own.
 //
 // internal/segment's Mutable, the LSM-style incremental layer, is not an
 // Index: it implements only MultiCountAppender, merging each count probe
@@ -107,16 +113,16 @@ type CrossMultiCounter[T any] interface {
 // CrossCounter is the optional cross-set COUNTING dual-join extension:
 // where CrossMultiCounter resolves only each query's FIRST nonempty
 // radius (all Step IV needs), this returns each query's full neighbor
-// count at every radius of an ascending schedule — the quantity the
-// shard-parallel pipeline sums across shards to reconstruct Step II's
-// exact global counts, and the quantity the staged Step II
-// (join.StagedCounts) takes past its split radius for the points not
-// yet excused. Implementations bulk-build a throwaway tree over the
-// queries and classify query subtrees against index subtrees
-// wholesale, exactly like the self-join but crediting
-// one-directionally. All three bundled trees implement it;
-// join.CrossMultiRadiusCounts falls back to batched per-query probes
-// for any other backend, and both paths return identical results.
+// count at every radius of an ascending schedule — the quantity a
+// sharded index sums across its parts to count against their union,
+// and the quantity the staged Step II (join.SelfMultiRadiusCounts)
+// takes past its split radius for the points not yet excused.
+// Implementations bulk-build a throwaway tree over the queries and
+// classify query subtrees against index subtrees wholesale, exactly
+// like the self-join but crediting one-directionally. All three
+// bundled trees implement it; join.CrossMultiRadiusCounts falls back to
+// batched per-query probes for any other backend, and both paths return
+// identical results.
 type CrossCounter[T any] interface {
 	// CountCrossMulti returns counts[e][i] = the number of indexed
 	// elements within radii[e] (inclusive) of queries[i]. radii must be

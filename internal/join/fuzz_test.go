@@ -72,12 +72,9 @@ func FuzzStagedCounts(f *testing.F) {
 			"rtree":    rtree.New(pts, 0),
 			"slimtree": slimtree.NewBulk(metric.Euclidean, 0, pts),
 		} {
-			smc := tr.(index.SelfMultiCounter)
-			want := gatedReference(smc, len(pts), radii, cap, lastIsDiameter)
-			parts := []index.Index[[]float64]{tr}
+			want := gatedReference(tr.(index.SelfMultiCounter), len(pts), radii, cap, lastIsDiameter)
 			for _, workers := range []int{1, 3} {
-				got := stagedCounts(pts, parts, radii, cap, lastIsDiameter, workers,
-					func(r []float64) [][]int { return smc.CountAllMulti(r, workers) }, k)
+				got := stagedCounts(tr, pts, radii, cap, lastIsDiameter, workers, k)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s (workers=%d) k=%d cap=%d lastIsDiameter=%v: staged counts differ from CountAllMulti+GateCounts\ngot:  %v\nwant: %v\npoints=%v radii=%v",
 						name, workers, k, cap, lastIsDiameter, got, want, pts, radii)

@@ -17,12 +17,12 @@
 // the still-relevant radius suffix — and stops once its count exceeds the
 // cap. When the query set is the indexed set itself and the index can
 // join itself (index.SelfMultiCounter), Step II's counts instead come
-// from dual-tree joins in stages (StagedCounts): one traversal of the
-// index against itself over the radii up to a split radius read off a
-// sample, then one cross-set count join (index.CrossCounter) per later
-// radius for only the points not yet excused, so the sparse-focused
-// principle holds for the dual joins too. When the query set is a
-// second, disjoint set and the index can join it
+// from dual-tree joins in stages (SelfMultiRadiusCounts): one traversal
+// of the index against itself over the radii up to a split radius read
+// off a sample, then one cross-set count join (index.CrossCounter) per
+// later radius for only the points not yet excused, so the
+// sparse-focused principle holds for the dual joins too. When the query
+// set is a second, disjoint set and the index can join it
 // (index.CrossMultiCounter), the Step IV bridge search comes from ONE
 // dual-tree traversal against a throwaway tree over the queries.
 //
@@ -216,54 +216,39 @@ func MultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap 
 }
 
 // SelfMultiRadiusCounts is MultiRadiusCounts for the tree's OWN elements:
-// items must be exactly the indexed elements in insertion order. When the
-// index can join itself (index.SelfMultiCounter — the dual-tree traversal
-// every bundled backend implements), the counts come from StagedCounts:
-// one dual self-join over the radii before the split index StagedCounts
-// picks from a sample, then one cross join per later radius for the
-// points not yet excused. Other backends fall back to the gated per-item
-// batched probes. Every path returns the matrix that one CountAllMulti
-// over the whole schedule followed by GateCounts returns.
-func SelfMultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int) [][]int {
-	smc, ok := t.(index.SelfMultiCounter)
-	if !ok || t.Size() != len(items) {
-		return MultiRadiusCounts(t, items, radii, cap, lastIsDiameter, workers)
-	}
-	return StagedCounts(items, []index.Index[T]{t}, radii, cap, lastIsDiameter, workers,
-		func(radii []float64) [][]int { return smc.CountAllMulti(radii, workers) })
-}
-
-// splitSample is how many evenly strided points the split decision of
-// StagedCounts counts.
-const splitSample = 32
-
-// StagedCounts computes Step II's gated counts over items, the disjoint
-// union of the elements the parts index (one part for a single index,
-// one per shard), given selfJoin(radii), which must return the TRUE
-// counts of every item, in items' order, at every radius of an ascending
-// schedule.
+// items must be exactly the indexed elements in insertion order. It
+// returns the matrix that one CountAllMulti over the whole schedule
+// followed by GateCounts returns, computed the cheapest way the index
+// allows. An index that is not an index.SelfMultiCounter falls back to
+// the gated per-item batched probes.
 //
 // Under the sparse-focused principle a count above cap excuses its item:
 // its counts at larger radii are never used (GateCounts carries the
 // excusing count forward instead). Most items are excused well before
 // the last probed radius — on the HTTP scene at 22,202 points, 77%
 // exceed the cap at r₉ and all but 124 by r₁₀, while the dual join
-// spends over half of its time on r₁₀ and beyond. So the counts come in
-// stages: selfJoin over radii[:k], then for each later probed radius
-// one cross join (index.CrossCounter) of the items still at or below
-// the cap (the survivors) against every part, summed. The split index k
-// is the radius after the first one at which at least half of an evenly
-// strided sample exceeds the cap, decided with single-radius probes of
-// the sample: the second-to-last probed radius first, and a binary
-// search below it only when half the sample exceeds the cap there. When
-// k would reach the last probed radius, or some part has no native
-// CrossCounter, it runs selfJoin over the whole schedule as one
-// traversal. Either way it returns the matrix that selfJoin(radii)
-// followed by GateCounts returns.
-func StagedCounts[T any](items []T, parts []index.Index[T], radii []float64, cap int, lastIsDiameter bool, workers int, selfJoin func(radii []float64) [][]int) [][]int {
-	k := splitIndex(items, parts, radii, cap, lastIsDiameter, workers)
-	return stagedCounts(items, parts, radii, cap, lastIsDiameter, workers, selfJoin, k)
+// spends over half of its time on r₁₀ and beyond. So when the index is
+// also an index.CrossCounter the counts come in stages: CountAllMulti
+// over radii[:k], then for each later probed radius one cross join of
+// the items still at or below the cap (the survivors) against the
+// index. The split index k is the radius after the first one at which
+// at least half of an evenly strided sample exceeds the cap, decided
+// with single-radius probes of the sample: the second-to-last probed
+// radius first, and a binary search below it only when half the sample
+// exceeds the cap there. When k would reach the last probed radius, or
+// the index has no CrossCounter, CountAllMulti runs over the whole
+// schedule as one traversal.
+func SelfMultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int) [][]int {
+	if _, ok := t.(index.SelfMultiCounter); !ok || t.Size() != len(items) {
+		return MultiRadiusCounts(t, items, radii, cap, lastIsDiameter, workers)
+	}
+	k := splitIndex(t, items, radii, cap, lastIsDiameter, workers)
+	return stagedCounts(t, items, radii, cap, lastIsDiameter, workers, k)
 }
+
+// splitSample is how many evenly strided points the split decision of
+// SelfMultiRadiusCounts counts.
+const splitSample = 32
 
 // probedRadii is how many leading radii of an a-radius schedule the
 // gated counts probe: all of them, or all but the last when it is the
@@ -275,17 +260,12 @@ func probedRadii(a int, lastIsDiameter bool) int {
 	return a
 }
 
-// splitIndex is StagedCounts' choice of k; it returns probedRadii(...)
-// to mean one traversal, without staging.
-func splitIndex[T any](items []T, parts []index.Index[T], radii []float64, cap int, lastIsDiameter bool, workers int) int {
+// splitIndex is SelfMultiRadiusCounts' choice of k; it returns
+// probedRadii(...) to mean one traversal, without staging.
+func splitIndex[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int) int {
 	probeHi := probedRadii(len(radii), lastIsDiameter)
-	for _, t := range parts {
-		if _, ok := t.(index.CrossCounter[T]); !ok {
-			return probeHi
-		}
-	}
-	if probeHi < 3 {
-		return probeHi // staging needs 1 ≤ k < probeHi-1
+	if _, ok := t.(index.CrossCounter[T]); !ok || probeHi < 3 {
+		return probeHi // staging needs a CrossCounter and 1 ≤ k < probeHi-1
 	}
 	m := min(splitSample, len(items))
 	above := make([]bool, m)
@@ -293,12 +273,7 @@ func splitIndex[T any](items []T, parts []index.Index[T], radii []float64, cap i
 	// than cap neighbors within radii[e].
 	halfAbove := func(e int) bool {
 		parallel.For(workers, m, func(j int) {
-			x := items[j*len(items)/m]
-			c := 0
-			for _, t := range parts {
-				c += t.RangeCount(x, radii[e])
-			}
-			above[j] = c > cap
+			above[j] = t.RangeCount(items[j*len(items)/m], radii[e]) > cap
 		})
 		hits := 0
 		for _, b := range above {
@@ -326,17 +301,20 @@ func splitIndex[T any](items []T, parts []index.Index[T], radii []float64, cap i
 	return probeHi
 }
 
-// stagedCounts is StagedCounts at a given split index k ≥ 1; k at or
-// beyond the probed radii runs selfJoin over the whole schedule.
-func stagedCounts[T any](items []T, parts []index.Index[T], radii []float64, cap int, lastIsDiameter bool, workers int, selfJoin func(radii []float64) [][]int, k int) [][]int {
+// stagedCounts is SelfMultiRadiusCounts at a given split index k ≥ 1
+// over an index that is a SelfMultiCounter; k at or beyond the probed
+// radii runs CountAllMulti over the whole schedule, and k below them
+// needs an index.CrossCounter too.
+func stagedCounts[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int, k int) [][]int {
 	n := len(items)
 	probeHi := probedRadii(len(radii), lastIsDiameter)
+	smc := t.(index.SelfMultiCounter)
 	if k >= probeHi {
-		q := selfJoin(radii)
+		q := smc.CountAllMulti(radii, workers)
 		GateCounts(q, n, cap, lastIsDiameter, workers)
 		return q
 	}
-	q := selfJoin(radii[:k])
+	q := smc.CountAllMulti(radii[:k], workers)
 	for range radii[k:] {
 		q = append(q, make([]int, n))
 	}
@@ -348,6 +326,7 @@ func stagedCounts[T any](items []T, parts []index.Index[T], radii []float64, cap
 	}
 	// Rows from k on hold the survivors' true counts; everyone else's
 	// stay 0 until GateCounts carries their excusing count into them.
+	cc := t.(index.CrossCounter[T])
 	sub := make([]T, 0, len(survivors))
 	for e := k; e < probeHi && len(survivors) > 0; e++ {
 		sub = sub[:0]
@@ -355,11 +334,8 @@ func stagedCounts[T any](items []T, parts []index.Index[T], radii []float64, cap
 			sub = append(sub, items[i])
 		}
 		row := q[e]
-		for _, t := range parts {
-			cs := t.(index.CrossCounter[T]).CountCrossMulti(sub, radii[e:e+1], workers)
-			for j, c := range cs[0] {
-				row[survivors[j]] += c
-			}
+		for j, c := range cc.CountCrossMulti(sub, radii[e:e+1], workers)[0] {
+			row[survivors[j]] = c
 		}
 		kept := survivors[:0]
 		for _, i := range survivors {
@@ -381,9 +357,10 @@ func stagedCounts[T any](items []T, parts []index.Index[T], radii []float64, cap
 // the diameter ESTIMATE falls marginally short of covering every pair —
 // and a count that exceeds cap is carried forward to every later probed
 // radius (the sparse-focused excusal). It is the one definition of the
-// gating rule for every producer of true counts: StagedCounts applies it
-// to the matrix its stages assemble, where a row holds true counts for
-// every item not yet excused before it, which is all the rule reads.
+// gating rule for every producer of true counts: the staged
+// SelfMultiRadiusCounts applies it to the matrix its stages assemble,
+// where a row holds true counts for every item not yet excused before
+// it, which is all the rule reads.
 func GateCounts(q [][]int, n, cap int, lastIsDiameter bool, workers int) {
 	a := len(q)
 	if a == 0 {
@@ -411,9 +388,7 @@ func GateCounts(q [][]int, n, cap int, lastIsDiameter bool, workers int) {
 // traversal of the index against a throwaway tree over the queries;
 // other backends fall back to one batched probe per query. Both paths
 // return identical results at every worker count. It is the counting
-// sibling of BridgeRadii: the shard-parallel pipeline sums these
-// matrices across shard pairs to reconstruct the exact global Step II
-// counts.
+// sibling of BridgeRadii.
 func CrossMultiRadiusCounts[T any](t index.Index[T], queries []T, radii []float64, workers int) [][]int {
 	if cc, ok := t.(index.CrossCounter[T]); ok {
 		return cc.CountCrossMulti(queries, radii, workers)

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,14 +12,14 @@ import (
 	"mccatch/internal/kdtree"
 	"mccatch/internal/metric"
 	"mccatch/internal/rtree"
-	"mccatch/internal/shard"
 	"mccatch/internal/slimtree"
 )
 
-// The staged Step II (StagedCounts) must return exactly the matrix one
-// CountAllMulti over the whole schedule followed by GateCounts gives, at
-// EVERY split index, not just the one the sample decision picks. These
-// tests force every k through the unexported stagedCounts.
+// The staged Step II (SelfMultiRadiusCounts) must return exactly the
+// matrix one CountAllMulti over the whole schedule followed by
+// GateCounts gives, at EVERY split index, not just the one the sample
+// decision picks. These tests force every k through the unexported
+// stagedCounts.
 
 // gatedReference is the one-traversal Step II: true counts at every
 // radius, then the gating rule.
@@ -67,18 +66,17 @@ func clusteredPoints(rng *rand.Rand, n, dim int) [][]float64 {
 // checkEverySplit runs stagedCounts at every k from 1 to one past the
 // last probed radius (the one-traversal fallback) for every cap, both
 // lastIsDiameter settings and workers 1, 2 and 8, against the
-// one-traversal reference over the same parts.
-func checkEverySplit[T any](t *testing.T, label string, items []T, parts []index.Index[T], selfJoin func(radii []float64, workers int) [][]int, ref index.SelfMultiCounter, radii []float64, caps []int) {
+// one-traversal reference over the same index.
+func checkEverySplit[T any](t *testing.T, label string, items []T, tr index.Index[T], radii []float64, caps []int) {
 	t.Helper()
 	n := len(items)
 	for _, cap := range caps {
 		for _, lastIsDiameter := range []bool{true, false} {
-			want := gatedReference(ref, n, radii, cap, lastIsDiameter)
+			want := gatedReference(tr.(index.SelfMultiCounter), n, radii, cap, lastIsDiameter)
 			probeHi := probedRadii(len(radii), lastIsDiameter)
 			for _, workers := range []int{1, 2, 8} {
 				for k := 1; k <= probeHi; k++ {
-					got := stagedCounts(items, parts, radii, cap, lastIsDiameter, workers,
-						func(r []float64) [][]int { return selfJoin(r, workers) }, k)
+					got := stagedCounts(tr, items, radii, cap, lastIsDiameter, workers, k)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: cap=%d lastIsDiameter=%v workers=%d k=%d: staged counts differ from CountAllMulti+GateCounts\ngot:  %v\nwant: %v",
 							label, cap, lastIsDiameter, workers, k, got, want)
@@ -97,12 +95,11 @@ func TestStagedCountsEverySplitVectors(t *testing.T) {
 		"rtree":    rtree.New(pts, 0),
 		"slimtree": slimtree.NewBulk(metric.Euclidean, 0, pts),
 	} {
-		smc := tr.(index.SelfMultiCounter)
 		radii := halvingRadii(tr.DiameterEstimate(), 9)
 		// Tight: most points are excused within a few radii. Default:
 		// the pipeline's ⌈0.1·n⌉. Loose: nobody is ever excused.
 		caps := []int{3, 25, len(pts)}
-		checkEverySplit(t, "vectors/"+name, pts, []index.Index[[]float64]{tr}, smc.CountAllMulti, smc, radii, caps)
+		checkEverySplit(t, "vectors/"+name, pts, tr, radii, caps)
 	}
 }
 
@@ -112,48 +109,7 @@ func TestStagedCountsEverySplitStrings(t *testing.T) {
 	words := data.LastNames(120, 3, 1).Words
 	tr := slimtree.NewBulk(metric.Levenshtein, 0, words)
 	radii := halvingRadii(tr.DiameterEstimate(), 7)
-	checkEverySplit(t, "strings/slimtree", words, []index.Index[string]{tr}, tr.CountAllMulti, tr, radii, []int{2, 13, len(words)})
-}
-
-// TestStagedCountsEverySplitSharded drives the staging the way the
-// sharded pipeline does: the self-join stage sums each part's self-join
-// with its cross joins against every other part, and the survivors
-// count against every part tree.
-func TestStagedCountsEverySplitSharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	pts := clusteredPoints(rng, 200, 3)
-	full := kdtree.New(pts)
-	radii := halvingRadii(full.DiameterEstimate(), 8)
-	for _, shards := range []int{1, 2, 8} {
-		set := shard.Build(pts, metric.Euclidean, shards, 1, true)
-		parts := make([]index.Index[[]float64], len(set.Parts))
-		for s, part := range set.Parts {
-			parts[s] = kdtree.New(part.Items)
-		}
-		selfJoin := func(radii []float64, workers int) [][]int {
-			q := make([][]int, len(radii))
-			for e := range q {
-				q[e] = make([]int, len(pts))
-			}
-			for s, part := range set.Parts {
-				for u, tr := range parts {
-					var cs [][]int
-					if u == s {
-						cs = tr.(index.SelfMultiCounter).CountAllMulti(radii, workers)
-					} else {
-						cs = CrossMultiRadiusCounts(tr, part.Items, radii, workers)
-					}
-					for e := range q {
-						for m, id := range part.IDs {
-							q[e][id] += cs[e][m]
-						}
-					}
-				}
-			}
-			return q
-		}
-		checkEverySplit(t, fmt.Sprintf("sharded/%d", shards), pts, parts, selfJoin, full, radii, []int{3, 20, len(pts)})
-	}
+	checkEverySplit[string](t, "strings/slimtree", words, tr, radii, []int{2, 13, len(words)})
 }
 
 // selfOnly exposes a backend's self-join but hides its CrossCounter, as
@@ -173,11 +129,10 @@ func TestStagedCountsWithoutCrossCounter(t *testing.T) {
 	hidden := selfOnly{noCross{tr}}
 	radii := halvingRadii(tr.DiameterEstimate(), 15)
 	cap := int(math.Ceil(0.1 * float64(len(d.Points))))
-	parts := []index.Index[[]float64]{tr}
-	if k := splitIndex(d.Points, parts, radii, cap, true, 1); k >= probedRadii(len(radii), true) {
+	if k := splitIndex[[]float64](tr, d.Points, radii, cap, true, 1); k >= probedRadii(len(radii), true) {
 		t.Fatalf("the native R-tree should stage on this data (k=%d), or the fallback below tests nothing", k)
 	}
-	if k := splitIndex(d.Points, []index.Index[[]float64]{hidden}, radii, cap, true, 1); k != probedRadii(len(radii), true) {
+	if k := splitIndex[[]float64](hidden, d.Points, radii, cap, true, 1); k != probedRadii(len(radii), true) {
 		t.Fatalf("an index without CrossCounter got split index %d, want the one-traversal %d", k, probedRadii(len(radii), true))
 	}
 	want := gatedReference(tr, len(d.Points), radii, cap, true)
@@ -215,7 +170,7 @@ func stepIIEvaluations[T any](dist metric.Distance[T], items []T) (full, staged,
 	full = calls.Swap(0)
 	SelfMultiRadiusCounts[T](tr, items, radii, cap, true, 1)
 	staged = calls.Swap(0)
-	k = splitIndex(items, []index.Index[T]{tr}, radii, cap, true, 1)
+	k = splitIndex[T](tr, items, radii, cap, true, 1)
 	decision = calls.Swap(0)
 	return full, staged, decision, k, probedRadii(len(radii), true)
 }

@@ -1,27 +1,27 @@
-// Package shard partitions a dataset into disjoint parts for the
-// shard-parallel pipeline (ROADMAP item 5): each part runs the full
-// per-shard MCCATCH pipeline over its own index, and the cross-shard
-// merge reconstructs the exact global answer. Correctness never depends
-// on WHERE the cut falls — the merge sums exact cross-shard dual-join
-// counts and minima over every ordered part pair — so the partitioners
-// here only chase locality: STR-style tiles for Euclidean vectors (sort
-// by the widest-spread axes into balanced contiguous tiles, the R-tree
-// bulk loader's cut) and pivot Voronoi cells for generic metric data
-// (spread-out pivots from the slim-tree's deterministic k-medoid
-// sampler, each element assigned to its nearest pivot). Both cuts are
-// deterministic: the parts depend only on (items, k), never on the
-// worker count.
+// Package shard partitions a dataset into disjoint parts for a sharded
+// index (core.BuildIndex): each part gets its own tree, and the parts
+// answer as one index over their union, so the pipeline runs once over
+// them. Correctness never depends on WHERE the cut falls — counts over
+// the union are exact sums over the parts, and Step II's self join adds
+// a cross-part dual join for every ordered part pair — so the
+// partitioners here only chase locality: STR-style tiles for Euclidean
+// vectors (sort by the widest-spread axes into balanced contiguous
+// tiles, the R-tree bulk loader's cut) and pivot Voronoi cells for
+// generic metric data (spread-out pivots from the slim-tree's
+// deterministic k-medoid sampler, each element assigned to its nearest
+// pivot). Both cuts are deterministic: the parts depend only on
+// (items, k), never on the worker count.
 //
 // Halo semantics: parts hold ONLY their owned elements — border points
 // are never replicated into neighboring shards' indexes (replication
 // out to the schedule's largest radius, the dataset diameter, would
-// copy everything everywhere). Instead the cross-shard dual joins ARE
-// the halo: they touch exactly the border pairs within each radius, and
-// MayTouch gives the gel merge a conservative per-part test — "could
-// this part contain a neighbor of x within r?" — that prunes interior
-// points from the small-radius border probes while provably never
-// skipping a true neighbor (the slack absorbs floating-point rounding,
-// mirroring internal/segment's fence).
+// copy everything everywhere). Instead the cross-part dual joins ARE
+// the halo: they touch exactly the border pairs within each radius.
+// MayTouch gives a conservative per-part test — "could this part
+// contain a neighbor of x within r?" — that provably never skips a
+// true neighbor (the slack absorbs floating-point rounding, mirroring
+// internal/segment's fence). The pipeline does not prune with it; it
+// serves callers that probe the parts one by one.
 package shard
 
 import (

@@ -251,25 +251,28 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithShards partitions the dataset into n shards that each run the
-// full detection pipeline over their own index, concurrently, with the
-// cross-shard interactions merged exactly (n = 1, the default, is the
+// WithShards cuts the dataset into n shards, each indexed by its own
+// tree, built concurrently, and the detection runs its one pipeline
+// over them as one index over their union (n = 1, the default, is the
 // single-index path). Vector data under the Euclidean distance is cut
 // into STR-style tiles; any other metric is cut into pivot Voronoi
 // cells around deterministically sampled pivots. Shards never replicate
-// border points — cross-shard dual-tree joins account for every
-// across-the-cut neighbor pair exactly.
+// border points: Step II's self join is each shard's own self join plus
+// one cross join against every other shard, concurrently across shards,
+// which accounts for every across-the-cut neighbor pair exactly. Steps
+// III and IV build their small throwaway trees exactly as an unsharded
+// run does.
 //
 // Determinism guarantee: like WithWorkers, WithShards trades only
 // wall-clock time, never output — the Result is byte-identical for
-// every shard count, because the merge sums exact integer neighbor
-// counts and takes exact integer minima over bridge radii (no
-// floating-point reduction ever crosses a shard boundary). Sharding
-// helps when per-shard work dominates the cross-shard border (clustered
-// or spread-out data, larger n); it hurts on tiny datasets or cuts
-// where most points are near a border, where the k² cross-shard joins
-// outweigh the split build. Sharded detectors have no on-disk format,
-// so WithShards conflicts with Save/WriteFile and the Open* paths.
+// every shard count, because the union's neighbor counts are exact
+// integer sums over the shards (no floating-point reduction ever
+// crosses a shard boundary). Sharding helps when per-shard work
+// dominates the cross-shard border (clustered or spread-out data,
+// larger n); it hurts on tiny datasets or cuts where most points are
+// near a border, where the k² cross-shard joins outweigh the split
+// build. Sharded detectors have no on-disk format, so WithShards
+// conflicts with Save/WriteFile and the Open* paths.
 func WithShards(n int) Option {
 	return func(p *core.Params) error {
 		if n < 1 {
