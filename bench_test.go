@@ -260,23 +260,12 @@ func randPoints(n, dim int) [][]float64 {
 	return pts
 }
 
-// The build pair the CI bench gate watches: the bulk load must stay well
-// ahead of the incremental insert path it replaced as the default.
-func BenchmarkSlimTreeBuildInsert10k(b *testing.B) {
-	b.ReportAllocs()
-	pts := randPoints(10000, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slimtree.New(metric.Euclidean, 0, pts)
-	}
-}
-
 func BenchmarkSlimTreeBuildBulk10k(b *testing.B) {
 	b.ReportAllocs()
 	pts := randPoints(10000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimtree.NewBulk(metric.Euclidean, 0, pts)
+		slimtree.New(metric.Euclidean, 0, pts)
 	}
 }
 
@@ -290,20 +279,7 @@ func BenchmarkSlimTreeBuildBulk4k(b *testing.B) {
 	pts := randPoints(4000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimtree.NewBulk(metric.Euclidean, 0, pts)
-	}
-}
-
-// The legacy insertion-built pipeline against the bulk-loaded default —
-// the end-to-end read on what the low-overlap tree buys Step II-IV.
-func BenchmarkPipelineN10k2dInsertionBuild(b *testing.B) {
-	b.ReportAllocs()
-	pts := data.Uniform(10000, 2, 1).Points
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mccatch.RunVectors(pts, mccatch.WithWorkers(1), mccatch.WithInsertionBuild()); err != nil {
-			b.Fatal(err)
-		}
+		slimtree.New(metric.Euclidean, 0, pts)
 	}
 }
 
@@ -441,7 +417,7 @@ func benchSelfJoin(b *testing.B, kind string, dual bool) {
 	var t index.Index[[]float64]
 	switch kind {
 	case "slim":
-		t = slimtree.NewBulk(metric.Euclidean, 0, pts)
+		t = slimtree.New(metric.Euclidean, 0, pts)
 	case "kd":
 		t = kdtree.New(pts)
 	case "r":
@@ -513,7 +489,7 @@ func benchBridge(b *testing.B, kind string, dual bool) {
 	var t index.Index[[]float64]
 	switch kind {
 	case "slim":
-		t = slimtree.NewBulk(metric.Euclidean, 0, in)
+		t = slimtree.New(metric.Euclidean, 0, in)
 	case "kd":
 		t = kdtree.New(in)
 	case "r":
@@ -648,39 +624,11 @@ func BenchmarkAUROC(b *testing.B) {
 	}
 }
 
-// Ablation: the Slim-tree's slim-down reorganization (paper substrate
-// feature) against the plain build on clustered data.
-func BenchmarkAblationSlimDownOff(b *testing.B) { benchSlimDown(b, 0) }
-func BenchmarkAblationSlimDownOn(b *testing.B)  { benchSlimDown(b, 3) }
-
-func benchSlimDown(b *testing.B, passes int) {
-	b.Helper()
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(13))
-	var pts [][]float64
-	for len(pts) < 6000 {
-		cx, cy := rng.Float64()*100, rng.Float64()*100
-		for i := 0; i < 30; i++ {
-			pts = append(pts, []float64{cx + rng.NormFloat64(), cy + rng.NormFloat64()})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var opts []mccatch.Option
-		if passes > 0 {
-			opts = append(opts, mccatch.WithSlimDown(passes))
-		}
-		if _, err := mccatch.RunVectors(pts, opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The backend sweep behind RunVectors' default choice (2d/8d x 4k/10k,
-// serial so the numbers read as pure per-backend cost): the R-tree wins
-// three of the four cells and nearly ties the kd-tree on the fourth,
-// while the kd-tree collapses at 8 dimensions — see BENCH_5.json and
-// the README backend notes for recorded medians.
+// serial so the numbers read as pure per-backend cost). In the README's
+// post-kernel table the kd-tree wins both 2d cells and the R-tree wins
+// every 8d and 32d cell, by 1.09–1.23× over the kd-tree — see the README
+// backend notes for the recorded medians.
 func BenchmarkSweepSlim4k2d(b *testing.B)  { benchSweep(b, "slim", 4000, 2) }
 func BenchmarkSweepKD4k2d(b *testing.B)    { benchSweep(b, "kd", 4000, 2) }
 func BenchmarkSweepR4k2d(b *testing.B)     { benchSweep(b, "r", 4000, 2) }

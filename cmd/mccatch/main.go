@@ -51,7 +51,6 @@ func main() {
 		explain = flag.Int("explain", -1, "explain why one point (by index) scored the way it did")
 		workers = flag.Int("workers", 0, "concurrent workers (0 = all cores, 1 = serial; output is identical)")
 		shards  = flag.Int("shards", 0, "cut the index into this many shards, built and self-joined concurrently (0 = default 1; output is identical for every value)")
-		insert  = flag.Bool("insertion-build", false, "build slim-trees with the legacy insert path instead of bulk loading (slower; output is identical)")
 		incr    = flag.Bool("incremental", false, "feed the data through the mutable incremental layer (insert-all, detect; output is identical)")
 		saveIdx = flag.String("save-index", "", "build the index from the input, save it to this file, and exit without detecting")
 		idxFile = flag.String("index-file", "", "open a saved index file instead of reading -input (mmap-backed; output is identical to the direct run)")
@@ -80,9 +79,6 @@ func main() {
 	}
 	if *shards != 0 {
 		opts = append(opts, mccatch.WithShards(*shards))
-	}
-	if *insert {
-		opts = append(opts, mccatch.WithInsertionBuild())
 	}
 
 	if *incr {
@@ -140,17 +136,20 @@ func main() {
 }
 
 // conflictingFlags rejects flag combinations where one flag would have
-// to be silently ignored: the incremental layer has no on-disk form,
-// -save-index and -index-file each claim the index's home, -save-index
-// exits before any probe could run, and a sharded detector neither
-// saves to nor opens from an index file (the partition has no on-disk
-// format). A non-empty return is the usage error (the caller prints it
-// plus the flag summary and exits nonzero, so scripts fail loudly
-// instead of acting on half the flags).
+// to be silently ignored: the incremental layer has no on-disk form and
+// prints a full detection report (it never probes), -save-index and
+// -index-file each claim the index's home, -save-index exits before any
+// probe could run, and a sharded detector neither saves to nor opens
+// from an index file (the partition has no on-disk format). A non-empty
+// return is the usage error (the caller prints it plus the flag summary
+// and exits nonzero, so scripts fail loudly instead of acting on half
+// the flags).
 func conflictingFlags(incr bool, saveIdx, idxFile string, probe, shards int) string {
 	switch {
 	case incr && (saveIdx != "" || idxFile != ""):
 		return "-incremental cannot be combined with -save-index/-index-file (the incremental layer has no on-disk form)"
+	case incr && probe >= 0:
+		return "-incremental and -probe are mutually exclusive (-incremental prints a full detection report; probe a built or saved index instead)"
 	case saveIdx != "" && idxFile != "":
 		return "-save-index and -index-file are mutually exclusive (the index is already on disk)"
 	case saveIdx != "" && probe >= 0:

@@ -386,6 +386,7 @@ func TestConflictingFlags(t *testing.T) {
 		{name: "incremental alone", incr: true, probe: -1},
 		{name: "incremental+save", incr: true, saveIdx: "x.idx", probe: -1, wantErr: true},
 		{name: "incremental+open", incr: true, idxFile: "x.idx", probe: -1, wantErr: true},
+		{name: "incremental+probe", incr: true, probe: 0, wantErr: true},
 		{name: "save+open", saveIdx: "x.idx", idxFile: "y.idx", probe: -1, wantErr: true},
 		{name: "save+probe", saveIdx: "x.idx", probe: 0, wantErr: true},
 		{name: "shards alone", probe: -1, shards: 4},

@@ -140,11 +140,10 @@ func BuildVectors(points [][]float64, opts ...Option) (*Detector[[]float64], err
 
 // vectorBuilder is the vector backend BuildVectors and
 // NewIncrementalVectors choose under p: the STR bulk-loaded R-tree at
-// the default fanout, unless a slim-tree-specific option
-// (WithTreeCapacity, WithInsertionBuild, WithSlimDown) moves it to the
-// slim-tree, whose resolved capacity it then pins into p.
+// the default fanout, unless the slim-tree-specific WithTreeCapacity
+// moves it to the slim-tree, whose resolved capacity it then pins into p.
 func vectorBuilder(p *core.Params) index.Builder[[]float64] {
-	if p.TreeCapacity != 0 || p.InsertionBuild || p.SlimDownPasses > 0 {
+	if p.TreeCapacity != 0 {
 		resolveSlimCapacity(p)
 		return core.SlimBuilder(metric.Euclidean, *p)
 	}

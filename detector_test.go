@@ -510,7 +510,6 @@ func TestOptionValidation(t *testing.T) {
 		{"WithCustomCost(-2)", WithCustomCost(-2)},
 		{"WithCustomCost(NaN)", WithCustomCost(math.NaN())},
 		{"WithTreeCapacity(1)", WithTreeCapacity(1)},
-		{"WithSlimDown(-1)", WithSlimDown(-1)},
 		{"WithWorkers(-3)", WithWorkers(-3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -530,7 +529,7 @@ func TestOptionValidation(t *testing.T) {
 	}
 	// The boundary values the messages point at must still be accepted.
 	if _, err := RunVectors(pts, WithRadii(2), WithMaxSlope(0), WithMaxCardinality(1),
-		WithTreeCapacity(4), WithSlimDown(0), WithWorkers(0)); err != nil {
+		WithTreeCapacity(4), WithWorkers(0)); err != nil {
 		t.Fatalf("boundary-valid options rejected: %v", err)
 	}
 }

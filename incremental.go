@@ -67,7 +67,7 @@ func NewIncremental[T any](dist Distance[T], opts ...Option) (*Incremental[T], e
 // dim-dimensional vectors under the Euclidean distance, with the
 // transformation cost set to the dimensionality — the incremental
 // counterpart of RunVectors, down to the same backend choice (STR
-// bulk-loaded R-tree unless a slim-tree-specific option is passed), so
+// bulk-loaded R-tree unless WithTreeCapacity is passed), so
 // Detect matches RunVectors over the live set bit for bit. Insert
 // rejects points of the wrong dimension or with non-finite values.
 func NewIncrementalVectors(dim int, opts ...Option) (*Incremental[[]float64], error) {
@@ -192,12 +192,14 @@ func (inc *Incremental[T]) Probe(q T) ([]int, error) { return inc.ProbeAppend(q,
 
 // ProbeAppend appends q's neighbor-count curve to dst, reusing dst's
 // capacity — the allocation-free form of Probe, answered as one merged
-// multi-radius traversal across the frozen segments and the memtable.
-// Like every other method it is not safe concurrently with mutation.
+// multi-radius traversal across the frozen segments and the memtable. A
+// query the detector rejects (wrong dimension, non-finite value) returns
+// dst unchanged with the error, so a caller recycling one buffer keeps
+// it. Like every other method it is not safe concurrently with mutation.
 func (inc *Incremental[T]) ProbeAppend(q T, dst []int) ([]int, error) {
 	if inc.validate != nil {
 		if err := inc.validate(q); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 	return inc.m.RangeCountMultiAppend(q, inc.Radii(), dst), nil

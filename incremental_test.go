@@ -344,6 +344,35 @@ func TestIncrementalProbeMatchesDetector(t *testing.T) {
 	}
 }
 
+// TestIncrementalProbeAppendRejectKeepsBuffer: a query ProbeAppend
+// rejects must hand the caller's buffer back unchanged with the error,
+// as Detector.ProbeAppend does, so a loop recycling one buffer keeps it.
+func TestIncrementalProbeAppendRejectKeepsBuffer(t *testing.T) {
+	inc, err := NewIncrementalVectors(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := inc.Insert([]float64{float64(i), float64(i * i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, q := range map[string][]float64{
+		"wrong dimension": {1, 2, 3},
+		"NaN":             {1, math.NaN()},
+	} {
+		dst := append(make([]int, 0, 8), 7, -1, 42)
+		got, err := inc.ProbeAppend(q, dst)
+		if err == nil {
+			t.Errorf("%s: ProbeAppend accepted the query", name)
+		}
+		if !reflect.DeepEqual(got, []int{7, -1, 42}) || cap(got) != cap(dst) || &got[0] != &dst[0] {
+			t.Errorf("%s: ProbeAppend returned %v (cap %d), want the caller's buffer [7 -1 42] (cap %d)",
+				name, got, cap(got), cap(dst))
+		}
+	}
+}
+
 // TestIncrementalVectorsValidation pins Insert's input checks.
 func TestIncrementalVectorsValidation(t *testing.T) {
 	inc, err := NewIncrementalVectors(2)

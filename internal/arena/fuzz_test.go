@@ -146,14 +146,14 @@ func seedFiles(tb testing.TB) [][]byte {
 	}
 	{
 		var buf writerBuf
-		if err := slimtree.NewBulk(metric.Euclidean, 4, pts).Save(&buf); err != nil {
+		if err := slimtree.New(metric.Euclidean, 4, pts).Save(&buf); err != nil {
 			tb.Fatal(err)
 		}
 		out = append(out, buf.b)
 	}
 	{
 		var buf writerBuf
-		if err := slimtree.NewBulk(metric.Levenshtein, 4, words).Save(&buf); err != nil {
+		if err := slimtree.New(metric.Levenshtein, 4, words).Save(&buf); err != nil {
 			tb.Fatal(err)
 		}
 		out = append(out, buf.b)

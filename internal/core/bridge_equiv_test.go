@@ -70,9 +70,6 @@ func assertBridgeEquiv[T any](t *testing.T, label string, items []T, build func(
 func TestBridgeRadiiEquivalenceVectorsAllBackends(t *testing.T) {
 	backends := map[string]func(pts [][]float64) index.Index[[]float64]{
 		"slimtree-bulk": func(pts [][]float64) index.Index[[]float64] {
-			return slimtree.NewBulk(metric.Euclidean, 0, pts)
-		},
-		"slimtree-insert": func(pts [][]float64) index.Index[[]float64] {
 			return slimtree.New(metric.Euclidean, 0, pts)
 		},
 		"kdtree": func(pts [][]float64) index.Index[[]float64] {
@@ -114,7 +111,7 @@ func TestBridgeRadiiEquivalenceStrings(t *testing.T) {
 		words = append(words, string(w))
 	}
 	assertBridgeEquiv(t, "strings/slimtree", words, func(in []string) index.Index[string] {
-		return slimtree.NewBulk(metric.Levenshtein, 0, in)
+		return slimtree.New(metric.Levenshtein, 0, in)
 	}, 9)
 }
 
@@ -137,7 +134,7 @@ func TestBridgeRadiiEquivalencePointSets(t *testing.T) {
 		sets = append(sets, s)
 	}
 	assertBridgeEquiv(t, "pointsets/slimtree", sets, func(in []metric.PointSet) index.Index[metric.PointSet] {
-		return slimtree.NewBulk(metric.Hausdorff, 0, in)
+		return slimtree.New(metric.Hausdorff, 0, in)
 	}, 9)
 }
 
@@ -167,7 +164,7 @@ func TestBridgeDualDoesNotPerturbResult(t *testing.T) {
 	pts := randomVectorDataset(rng)
 	backends := map[string]index.Builder[[]float64]{
 		"slimtree": func(sub [][]float64) index.Index[[]float64] {
-			return slimtree.NewBulk(metric.Euclidean, 0, sub)
+			return slimtree.New(metric.Euclidean, 0, sub)
 		},
 		"kdtree": func(sub [][]float64) index.Index[[]float64] { return kdtree.New(sub) },
 		"rtree":  func(sub [][]float64) index.Index[[]float64] { return rtree.New(sub, 0) },
@@ -208,7 +205,7 @@ func TestBridgeDualDoesNotPerturbResult(t *testing.T) {
 		words = append(words, string(w))
 	}
 	slimBuild := func(sub []string) index.Index[string] {
-		return slimtree.NewBulk(metric.Levenshtein, 0, sub)
+		return slimtree.New(metric.Levenshtein, 0, sub)
 	}
 	hidden := func(sub []string) index.Index[string] {
 		return hideCross[string]{inner: slimBuild(sub)}

@@ -50,17 +50,6 @@ type Params struct {
 	Cost metric.TransformationCost
 	// TreeCapacity is the slim-tree node capacity. 0 → default.
 	TreeCapacity int
-	// InsertionBuild reverts the slim-tree construction to the legacy
-	// one-element-at-a-time insert path. The default (false) bulk-loads
-	// each tree level by level with sample-based k-medoid pivots, which
-	// builds faster and yields compact, low-overlap nodes; both builds
-	// answer every query identically, so the pipeline output does not
-	// depend on this switch (pinned by TestBulkAndInsertionBuildsAgree).
-	InsertionBuild bool
-	// SlimDownPasses runs the Slim-tree's slim-down reorganization on each
-	// tree after construction (0 = off). It reduces node overlap, which
-	// can cut metric evaluations on clustered data.
-	SlimDownPasses int
 	// Workers is the number of concurrent workers the pipeline fans
 	// per-point work out on (joins, plateau extraction, scoring, bulk
 	// index builds). ≤ 0 → runtime.GOMAXPROCS(0); 1 → fully serial.
@@ -158,9 +147,8 @@ type Result struct {
 var ErrEmptyDataset = errors.New("core: empty dataset")
 
 // Run executes MCCATCH (Alg. 1) on items under dist, indexing with a
-// slim-tree — the paper's choice for metric (and general) data. Trees are
-// bulk-loaded by default (Params.InsertionBuild reverts to the legacy
-// incremental build; results are identical either way).
+// bulk-loaded slim-tree — the paper's choice for metric (and general)
+// data.
 func Run[T any](items []T, dist metric.Distance[T], params Params) (*Result, error) {
 	return RunWithIndex(items, dist, SlimBuilder(dist, params), params)
 }
@@ -171,16 +159,7 @@ func Run[T any](items []T, dist metric.Distance[T], params Params) (*Result, err
 // use, which is what makes incremental-vs-fresh equivalence exact.
 func SlimBuilder[T any](dist metric.Distance[T], params Params) index.Builder[T] {
 	return func(sub []T) index.Index[T] {
-		var t *slimtree.Tree[T]
-		if params.InsertionBuild {
-			t = slimtree.New(dist, params.TreeCapacity, sub)
-		} else {
-			t = slimtree.NewBulkWithWorkers(dist, params.TreeCapacity, sub, params.Workers)
-		}
-		if params.SlimDownPasses > 0 {
-			t.SlimDown(params.SlimDownPasses)
-		}
-		return t
+		return slimtree.NewWithWorkers(dist, params.TreeCapacity, sub, params.Workers)
 	}
 }
 

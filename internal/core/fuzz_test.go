@@ -66,10 +66,9 @@ func decodeFuzzCase(data []byte) (pts [][]float64, radii []float64) {
 // that matter (deep trees, degenerate boxes) come from the fuzzed data.
 func fuzzBackends(pts [][]float64) map[string]index.Index[[]float64] {
 	return map[string]index.Index[[]float64]{
-		"slimtree-bulk":   slimtree.NewBulk(metric.Euclidean, 0, pts),
-		"slimtree-insert": slimtree.New(metric.Euclidean, 0, pts),
-		"kdtree":          kdtree.New(pts),
-		"rtree":           rtree.New(pts, 0),
+		"slimtree-bulk": slimtree.New(metric.Euclidean, 0, pts),
+		"kdtree":        kdtree.New(pts),
+		"rtree":         rtree.New(pts, 0),
 	}
 }
 

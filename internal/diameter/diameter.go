@@ -3,13 +3,13 @@
 //
 // The estimate is a function of the DATA ALONE — the elements in id order
 // and the metric — never of any index structure: every branch below
-// switches on the element count or on computed distances, so the
-// insertion-built, bulk-loaded and slimmed-down slim-trees, the coordinate
-// trees, and any memtable/segment arrangement of the incremental layer all
-// report the same value over the same live set. That invariant is what
-// makes the pipeline output identical across build paths (pinned by
-// core's bulk_equiv and incremental equivalence tests); an estimator that
-// walked an index and aborted on a budget would break it.
+// switches on the element count or on computed distances, so slim-trees
+// of any capacity, the coordinate trees, shard partitions and any
+// memtable/segment arrangement of the incremental layer all report the
+// same value over the same live set. That invariant is what makes the
+// pipeline output identical across backends (pinned by core's shard and
+// incremental equivalence tests); an estimator that walked an index and
+// aborted on a budget would break it.
 package diameter
 
 // ExactThreshold is the element count at or below which Estimate returns

@@ -70,7 +70,7 @@ func FuzzStagedCounts(f *testing.F) {
 		for name, tr := range map[string]index.Index[[]float64]{
 			"kdtree":   kdtree.New(pts),
 			"rtree":    rtree.New(pts, 0),
-			"slimtree": slimtree.NewBulk(metric.Euclidean, 0, pts),
+			"slimtree": slimtree.New(metric.Euclidean, 0, pts),
 		} {
 			want := gatedReference(tr.(index.SelfMultiCounter), len(pts), radii, cap, lastIsDiameter)
 			for _, workers := range []int{1, 3} {

@@ -93,7 +93,7 @@ func TestStagedCountsEverySplitVectors(t *testing.T) {
 	for name, tr := range map[string]index.Index[[]float64]{
 		"kdtree":   kdtree.New(pts),
 		"rtree":    rtree.New(pts, 0),
-		"slimtree": slimtree.NewBulk(metric.Euclidean, 0, pts),
+		"slimtree": slimtree.New(metric.Euclidean, 0, pts),
 	} {
 		radii := halvingRadii(tr.DiameterEstimate(), 9)
 		// Tight: most points are excused within a few radii. Default:
@@ -107,7 +107,7 @@ func TestStagedCountsEverySplitStrings(t *testing.T) {
 	// Edit distances are integers, so a short schedule keeps every
 	// radius distinct in the counts.
 	words := data.LastNames(120, 3, 1).Words
-	tr := slimtree.NewBulk(metric.Levenshtein, 0, words)
+	tr := slimtree.New(metric.Levenshtein, 0, words)
 	radii := halvingRadii(tr.DiameterEstimate(), 7)
 	checkEverySplit[string](t, "strings/slimtree", words, tr, radii, []int{2, 13, len(words)})
 }
@@ -155,7 +155,7 @@ func countingSlim[T any](dist metric.Distance[T], items []T) (*slimtree.Tree[T],
 		calls.Add(1)
 		return dist(a, b)
 	}
-	return slimtree.NewBulkWithWorkers(counted, 0, items, 1), &calls
+	return slimtree.NewWithWorkers(counted, 0, items, 1), &calls
 }
 
 // stepIIEvaluations returns the metric evaluations of one serial

@@ -16,7 +16,7 @@ import (
 func rtreeBuilder(sub [][]float64) index.Index[[]float64] { return rtree.New(sub, 0) }
 
 func slimBuilder(sub [][]float64) index.Index[[]float64] {
-	return slimtree.NewBulk(metric.Euclidean, 0, sub)
+	return slimtree.New(metric.Euclidean, 0, sub)
 }
 
 func randPoint(rng *rand.Rand, dim int) []float64 {

@@ -17,6 +17,56 @@ import (
 // traversal — that the arena answers queries identically to the linked
 // shape it froze.
 
+// thaw rebuilds the linked tree from the arena (the inverse of freeze),
+// for the retained pointer traversal below.
+func (t *Tree[T]) thaw() *node[T] {
+	var build func(n int32) *node[T]
+	build = func(n int32) *node[T] {
+		nn := &node[T]{leaf: t.leaf[n], entries: make([]entry[T], 0, t.entLast[n]-t.entFirst[n])}
+		for k := t.entFirst[n]; k < t.entLast[n]; k++ {
+			e := entry[T]{
+				pivot:  t.ePivot[k],
+				id:     int(t.eID[k]),
+				radius: t.eRD[2*k],
+				dPar:   t.eRD[2*k+1],
+				count:  int(t.eCount[k]),
+			}
+			if c := t.eChild[k]; c >= 0 {
+				e.child = build(c)
+			}
+			nn.entries = append(nn.entries, e)
+		}
+		return nn
+	}
+	return build(0)
+}
+
+// MaxCoverError returns the largest violation of the covering invariant
+// (every element within its ancestors' covering balls); it must be 0 on a
+// well-formed tree.
+func (t *Tree[T]) MaxCoverError() float64 {
+	if len(t.leaf) == 0 {
+		return 0
+	}
+	worst := 0.0
+	var visit func(n int32, anc []int32)
+	visit = func(n int32, anc []int32) {
+		for k := t.entFirst[n]; k < t.entLast[n]; k++ {
+			if t.leaf[n] {
+				for _, a := range anc {
+					if v := t.d(t.ePivot[k], t.ePivot[a]) - t.eRD[2*a]; v > worst {
+						worst = v
+					}
+				}
+				continue
+			}
+			visit(t.eChild[k], append(anc, k))
+		}
+	}
+	visit(0, nil)
+	return math.Max(worst, 0)
+}
+
 func arenaCheck[T any](t *testing.T, tr *Tree[T], n int) {
 	t.Helper()
 	slots := len(tr.leaf)
@@ -100,16 +150,13 @@ func arenaCheck[T any](t *testing.T, tr *Tree[T], n int) {
 	if len(tr.leafIDs) != n {
 		t.Fatalf("packed %d elements, want %d", len(tr.leafIDs), n)
 	}
-	if tr.root != nil {
-		t.Fatal("frozen tree must have dropped the pointer root")
-	}
 	if e := tr.MaxCoverError(); e != 0 {
 		t.Fatalf("covering invariant violated by %v", e)
 	}
 }
 
-// TestArenaInvariants freezes random insert-built and bulk-built trees
-// and checks every structural invariant of the arena.
+// TestArenaInvariants freezes random trees and checks every structural
+// invariant of the arena.
 func TestArenaInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 8; trial++ {
@@ -119,10 +166,6 @@ func TestArenaInvariants(t *testing.T) {
 			pts[i] = []float64{rng.Float64() * 100, rng.Float64() * 100}
 		}
 		arenaCheck(t, New(metric.Euclidean, 0, pts), n)
-		arenaCheck(t, NewBulk(metric.Euclidean, 0, pts), n)
-		slim := NewBulk(metric.Euclidean, 0, pts)
-		slim.SlimDown(2) // thaw → reorganize → re-freeze must stay well-formed
-		arenaCheck(t, slim, n)
 	}
 }
 
@@ -159,8 +202,8 @@ func refRangeVisit[T any](dist metric.Distance[T], n *node[T], q T, r, dq float6
 
 // TestArenaMatchesReferencePointerBuild thaws the frozen arena back into
 // the linked shape and demands the arena traversals answer identically
-// to the retained pointer traversal on random probes — for both build
-// paths, on counts, batched counts and id sets.
+// to the retained pointer traversal on random probes, on counts, batched
+// counts and id sets.
 func TestArenaMatchesReferencePointerBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 8; trial++ {
@@ -169,42 +212,36 @@ func TestArenaMatchesReferencePointerBuild(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.Float64() * 50, rng.Float64() * 50}
 		}
-		for _, tr := range []*Tree[[]float64]{
-			New(metric.Euclidean, 0, pts),
-			NewBulk(metric.Euclidean, 0, pts),
-		} {
-			tr.thaw()
-			ref := tr.root
-			tr.root = nil // the arena queries must not depend on it
-			diam := tr.DiameterEstimate()
-			radii := make([]float64, 9)
-			for e := range radii {
-				radii[e] = diam / float64(int(1)<<(len(radii)-1-e))
+		tr := New(metric.Euclidean, 0, pts)
+		ref := tr.thaw()
+		diam := tr.DiameterEstimate()
+		radii := make([]float64, 9)
+		for e := range radii {
+			radii[e] = diam / float64(int(1)<<(len(radii)-1-e))
+		}
+		for probe := 0; probe < 8; probe++ {
+			q := pts[rng.Intn(n)]
+			r := rng.Float64() * diam
+			if got, want := tr.RangeCount(q, r), refRangeVisit(metric.Euclidean, ref, q, r, math.NaN(), nil); got != want {
+				t.Fatalf("RangeCount=%d, reference %d", got, want)
 			}
-			for probe := 0; probe < 8; probe++ {
-				q := pts[rng.Intn(n)]
-				r := rng.Float64() * diam
-				if got, want := tr.RangeCount(q, r), refRangeVisit(metric.Euclidean, ref, q, r, math.NaN(), nil); got != want {
-					t.Fatalf("RangeCount=%d, reference %d", got, want)
+			multi := tr.RangeCountMulti(q, radii)
+			for e, rr := range radii {
+				if want := refRangeVisit(metric.Euclidean, ref, q, rr, math.NaN(), nil); multi[e] != want {
+					t.Fatalf("RangeCountMulti[%d]=%d, reference %d", e, multi[e], want)
 				}
-				multi := tr.RangeCountMulti(q, radii)
-				for e, rr := range radii {
-					if want := refRangeVisit(metric.Euclidean, ref, q, rr, math.NaN(), nil); multi[e] != want {
-						t.Fatalf("RangeCountMulti[%d]=%d, reference %d", e, multi[e], want)
-					}
-				}
-				var wantIDs []int
-				refRangeVisit(metric.Euclidean, ref, q, r, math.NaN(), &wantIDs)
-				gotIDs := tr.RangeQuery(q, r)
-				sort.Ints(gotIDs)
-				sort.Ints(wantIDs)
-				if len(gotIDs) != len(wantIDs) {
-					t.Fatalf("RangeQuery returned %d ids, reference %d", len(gotIDs), len(wantIDs))
-				}
-				for i := range gotIDs {
-					if gotIDs[i] != wantIDs[i] {
-						t.Fatal("RangeQuery id sets differ from reference")
-					}
+			}
+			var wantIDs []int
+			refRangeVisit(metric.Euclidean, ref, q, r, math.NaN(), &wantIDs)
+			gotIDs := tr.RangeQuery(q, r)
+			sort.Ints(gotIDs)
+			sort.Ints(wantIDs)
+			if len(gotIDs) != len(wantIDs) {
+				t.Fatalf("RangeQuery returned %d ids, reference %d", len(gotIDs), len(wantIDs))
+			}
+			for i := range gotIDs {
+				if gotIDs[i] != wantIDs[i] {
+					t.Fatal("RangeQuery id sets differ from reference")
 				}
 			}
 		}

@@ -7,24 +7,21 @@ import (
 	"mccatch/internal/parallel"
 )
 
-// This file implements bulk loading: building the whole Slim-tree top-down
-// from the full dataset instead of inserting elements one at a time.
+// This file implements the tree's one construction, bulk loading: the
+// whole Slim-tree is built top-down from the full dataset, then frozen.
 //
-// The incremental insert path grows node regions greedily — each arriving
-// element inflates whichever region is cheapest RIGHT NOW — so covering
-// balls end up overlapping badly, and overlapping balls are exactly what
-// every query and the dual-tree self-join pay for: a probe that falls in
-// the overlap of k sibling regions descends k subtrees. Bulk loading sees
-// all elements before committing to any region: each level picks pivots
-// from a sample of its elements (k-medoid style: a medoid seed, spread-out
-// companions, then a medoid refinement of each tentative cluster) and
-// partitions the elements to the nearest pivot under a balance cap, so
-// sibling regions are compact, near-disjoint, and the tree height matches
-// the information-theoretic minimum. Queries are unchanged: the bulk build
-// produces the same node/entry invariants (exact covering radii, stored
-// parent distances, subtree counts) the insert path maintains, so every
-// traversal — RangeCount, RangeCountMulti, KNN, CountAllMulti, SlimDown —
-// runs on it untouched and returns identical results.
+// Overlapping covering balls are what every query and the dual-tree
+// self-join pay for: a probe that falls in the overlap of k sibling
+// regions descends k subtrees. Bulk loading sees all elements before
+// committing to any region: each level picks pivots from a sample of its
+// elements (k-medoid style: a medoid seed, spread-out companions, then a
+// medoid refinement of each tentative cluster) and partitions the
+// elements to the nearest pivot under a balance cap, so sibling regions
+// are compact, near-disjoint, and the tree height matches the
+// information-theoretic minimum. Every entry carries an exact covering
+// radius, its distance to the parent pivot and its subtree count, which
+// is all the traversals — RangeCount, RangeCountMulti, KNN,
+// CountAllMulti — consult.
 //
 // Pivot selection draws from ONE global deterministic sample whose
 // pairwise distance matrix is computed once up front and shared down the
@@ -32,8 +29,7 @@ import (
 // everything else, so a node picks its pivots among the sample members it
 // inherited — at zero additional metric evaluations — and only nodes left
 // with too thin a share fall back to sampling locally. Pivot quality
-// changes only the tree's arrangement, never any query answer, so the
-// bulk-vs-insert output identity is unaffected.
+// changes only the tree's arrangement, never any query answer.
 
 // bulkSampleMax bounds the pivot-selection sample per node on the LOCAL
 // fallback path. Pivot quality saturates quickly with the sample size
@@ -125,22 +121,21 @@ func newGlobalSample[T any](t *Tree[T], items []T, height int) *globalSample {
 	return gs
 }
 
-// NewBulk bulk-loads a Slim-tree with the given distance and node capacity
-// (DefaultCapacity if cap < 4). Item i is reported by queries as id i,
-// exactly as with New; only the tree's internal arrangement differs.
-func NewBulk[T any](dist metric.Distance[T], capacity int, items []T) *Tree[T] {
-	return NewBulkWithWorkers(dist, capacity, items, 1)
+// New bulk-loads a Slim-tree with the given distance and node capacity
+// (DefaultCapacity if cap < 4). Item i is reported by queries as id i.
+func New[T any](dist metric.Distance[T], capacity int, items []T) *Tree[T] {
+	return NewWithWorkers(dist, capacity, items, 1)
 }
 
 // bulkParallelMin is the group size below which a subtree build stays on
 // the current goroutine.
 const bulkParallelMin = 512
 
-// NewBulkWithWorkers is NewBulk with the per-level subtree builds fanned
-// out across up to workers goroutines (≤ 0 → all cores, 1 → serial).
-// Pivot selection and partitioning are deterministic and sibling groups
-// are disjoint, so the resulting tree is identical for every worker count.
-func NewBulkWithWorkers[T any](dist metric.Distance[T], capacity int, items []T, workers int) *Tree[T] {
+// NewWithWorkers is New with the per-level subtree builds fanned out
+// across up to workers goroutines (≤ 0 → all cores, 1 → serial). Pivot
+// selection and partitioning are deterministic and sibling groups are
+// disjoint, so the resulting tree is identical for every worker count.
+func NewWithWorkers[T any](dist metric.Distance[T], capacity int, items []T, workers int) *Tree[T] {
 	if capacity < 4 {
 		capacity = DefaultCapacity
 	}
@@ -171,8 +166,7 @@ func NewBulkWithWorkers[T any](dist metric.Distance[T], capacity int, items []T,
 	if height > 2 {
 		gs = newGlobalSample(t, items, height)
 	}
-	t.root = t.bulkNode(items, idx, nil, height, gs, parallel.NewLimiter(workers))
-	t.freeze()
+	t.freeze(t.bulkNode(items, idx, nil, height, gs, parallel.NewLimiter(workers)))
 	return t
 }
 

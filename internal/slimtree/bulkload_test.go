@@ -4,66 +4,96 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"mccatch/internal/diameter"
 	"mccatch/internal/metric"
 )
 
-// assertQueryEquivalent pins the bulk-load contract: a bulk-loaded tree
-// must answer every query — RangeCount, RangeCountMulti, RangeQuery, KNN,
-// CountAllMulti, DiameterEstimate — exactly like the insertion-built tree
-// over the same items. Only the internal arrangement may differ.
-func assertQueryEquivalent[T any](t *testing.T, label string, ins, blk *Tree[T], items []T, radii []float64) {
+// assertQueryEquivalent pins the bulk-load contract against brute force
+// over items under dist: the tree must answer every query —
+// RangeCount, RangeCountMulti, RangeQuery, KNN, CountAllMulti,
+// DiameterEstimate — exactly as a scan of the items does. Only the
+// tree's internal arrangement is free.
+func assertQueryEquivalent[T any](t *testing.T, label string, tr *Tree[T], dist metric.Distance[T], items []T, radii []float64) {
 	t.Helper()
-	if ins.Size() != blk.Size() {
-		t.Fatalf("%s: sizes differ: %d vs %d", label, ins.Size(), blk.Size())
+	if tr.Size() != len(items) {
+		t.Fatalf("%s: size %d, want %d", label, tr.Size(), len(items))
 	}
-	if di, db := ins.DiameterEstimate(), blk.DiameterEstimate(); di != db {
-		t.Fatalf("%s: DiameterEstimate differs: %v vs %v", label, di, db)
+	if got, want := tr.DiameterEstimate(), diameter.Estimate(items, dist); got != want {
+		t.Fatalf("%s: DiameterEstimate = %v, want %v", label, got, want)
 	}
+	// brute[e][i] counts the items within radii[e] of items[i].
+	brute := make([][]int, len(radii))
+	for e := range brute {
+		brute[e] = make([]int, len(items))
+	}
+	type cand struct {
+		d  float64
+		id int
+	}
+	all := make([]cand, len(items))
 	for qi, q := range items {
-		if qi%7 != 0 { // every 7th element keeps the quadratic check fast
+		for j, x := range items {
+			all[j] = cand{dist(q, x), j}
+			for e, r := range radii {
+				if all[j].d <= r {
+					brute[e][qi]++
+				}
+			}
+		}
+		if qi%7 != 0 { // every 7th element keeps the per-query checks fast
 			continue
 		}
-		for _, r := range radii {
-			if ci, cb := ins.RangeCount(q, r), blk.RangeCount(q, r); ci != cb {
-				t.Fatalf("%s: RangeCount(q%d, %v) = %d (insert) vs %d (bulk)", label, qi, r, ci, cb)
+		for e, r := range radii {
+			if c := tr.RangeCount(q, r); c != brute[e][qi] {
+				t.Fatalf("%s: RangeCount(q%d, %v) = %d, brute %d", label, qi, r, c, brute[e][qi])
 			}
 		}
-		mi, mb := ins.RangeCountMulti(q, radii), blk.RangeCountMulti(q, radii)
+		multi := tr.RangeCountMulti(q, radii)
 		for e := range radii {
-			if mi[e] != mb[e] {
-				t.Fatalf("%s: RangeCountMulti(q%d)[%d] = %d vs %d", label, qi, e, mi[e], mb[e])
+			if multi[e] != brute[e][qi] {
+				t.Fatalf("%s: RangeCountMulti(q%d)[%d] = %d, brute %d", label, qi, e, multi[e], brute[e][qi])
 			}
 		}
-		idsI := ins.RangeQuery(q, radii[len(radii)/2])
-		idsB := blk.RangeQuery(q, radii[len(radii)/2])
-		sortInts(idsI)
-		sortInts(idsB)
-		if fmt.Sprint(idsI) != fmt.Sprint(idsB) {
-			t.Fatalf("%s: RangeQuery(q%d) ids differ: %v vs %v", label, qi, idsI, idsB)
-		}
-		ki, kdi := ins.KNN(q, 5)
-		kb, kdb := blk.KNN(q, 5)
-		if fmt.Sprint(ki) != fmt.Sprint(kb) || fmt.Sprint(kdi) != fmt.Sprint(kdb) {
-			t.Fatalf("%s: KNN(q%d) differs: %v/%v vs %v/%v", label, qi, ki, kdi, kb, kdb)
-		}
-	}
-	ci := ins.CountAllMulti(radii, 1)
-	cb := blk.CountAllMulti(radii, 3)
-	for e := range ci {
-		for i := range ci[e] {
-			if ci[e][i] != cb[e][i] {
-				t.Fatalf("%s: CountAllMulti[%d][%d] = %d vs %d", label, e, i, ci[e][i], cb[e][i])
+		mid := radii[len(radii)/2]
+		var wantIDs []int
+		for _, c := range all {
+			if c.d <= mid {
+				wantIDs = append(wantIDs, c.id)
 			}
 		}
+		gotIDs := tr.RangeQuery(q, mid)
+		sort.Ints(gotIDs)
+		if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+			t.Fatalf("%s: RangeQuery(q%d) ids %v, brute %v", label, qi, gotIDs, wantIDs)
+		}
+		// KNN's documented tie rule: the first k by (distance, id).
+		sort.Slice(all, func(a, b int) bool {
+			if all[a].d != all[b].d {
+				return all[a].d < all[b].d
+			}
+			return all[a].id < all[b].id
+		})
+		k := min(5, len(all))
+		wantK, wantD := make([]int, k), make([]float64, k)
+		for i := range wantK {
+			wantK[i], wantD[i] = all[i].id, all[i].d
+		}
+		gotK, gotD := tr.KNN(q, 5)
+		if fmt.Sprint(gotK) != fmt.Sprint(wantK) || fmt.Sprint(gotD) != fmt.Sprint(wantD) {
+			t.Fatalf("%s: KNN(q%d) = %v/%v, brute %v/%v", label, qi, gotK, gotD, wantK, wantD)
+		}
 	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+	for _, workers := range []int{1, 3} {
+		counts := tr.CountAllMulti(radii, workers)
+		for e := range brute {
+			for i := range brute[e] {
+				if counts[e][i] != brute[e][i] {
+					t.Fatalf("%s: CountAllMulti(workers=%d)[%d][%d] = %d, brute %d", label, workers, e, i, counts[e][i], brute[e][i])
+				}
+			}
 		}
 	}
 }
@@ -82,9 +112,8 @@ func TestNewBulkQueryEquivalentVectors(t *testing.T) {
 			pts = append(pts, append([]float64(nil), pts[rng.Intn(len(pts))]...))
 		}
 		capacity := []int{0, 4, 8}[trial%3]
-		ins := New(metric.Euclidean, capacity, pts)
-		blk := NewBulk(metric.Euclidean, capacity, pts)
-		assertQueryEquivalent(t, fmt.Sprintf("vectors/trial%d", trial), ins, blk, pts, randRadii(rng, 150))
+		tr := New(metric.Euclidean, capacity, pts)
+		assertQueryEquivalent(t, fmt.Sprintf("vectors/trial%d", trial), tr, metric.Euclidean, pts, randRadii(rng, 150))
 	}
 }
 
@@ -98,9 +127,8 @@ func TestNewBulkQueryEquivalentStrings(t *testing.T) {
 		}
 		words = append(words, string(stem[:4+rng.Intn(13)]))
 	}
-	ins := New(metric.Levenshtein, 8, words)
-	blk := NewBulk(metric.Levenshtein, 8, words)
-	assertQueryEquivalent(t, "strings", ins, blk, words, []float64{0, 1, 2, 3, 5, 8, 13})
+	tr := New(metric.Levenshtein, 8, words)
+	assertQueryEquivalent(t, "strings", tr, metric.Levenshtein, words, []float64{0, 1, 2, 3, 5, 8, 13})
 }
 
 // TestNewBulkWorkerInvariant: the bulk-built tree must be identical for
@@ -110,13 +138,13 @@ func TestNewBulkWorkerInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	pts := randPoints(rng, 3000, 2)
 	radii := randRadii(rng, 150)
-	serial := NewBulkWithWorkers(metric.Euclidean, 0, pts, 1)
+	serial := NewWithWorkers(metric.Euclidean, 0, pts, 1)
 	buildCalls := serial.DistCalls()
 	if buildCalls == 0 {
 		t.Fatal("serial bulk build performed no metric evaluations")
 	}
 	for _, workers := range []int{2, 8} {
-		par := NewBulkWithWorkers(metric.Euclidean, 0, pts, workers)
+		par := NewWithWorkers(metric.Euclidean, 0, pts, workers)
 		if p := par.DistCalls(); p != buildCalls {
 			t.Fatalf("workers=%d: build dist calls differ (%d vs %d): trees are not identical", workers, buildCalls, p)
 		}
@@ -139,12 +167,12 @@ func TestNewBulkWorkerInvariant(t *testing.T) {
 }
 
 // TestNewBulkBalancedHeight: the bulk build must hit the balanced minimum
-// height ⌈log_cap(n)⌉ — the property the insert path cannot guarantee.
+// height ⌈log_cap(n)⌉.
 func TestNewBulkBalancedHeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, n := range []int{1, 30, 33, 1000, 5000} {
 		pts := randPoints(rng, n, 2)
-		blk := NewBulk(metric.Euclidean, 32, pts)
+		blk := New(metric.Euclidean, 32, pts)
 		want := 1
 		for span := 32; span < n; span *= 32 {
 			want++
@@ -155,26 +183,6 @@ func TestNewBulkBalancedHeight(t *testing.T) {
 		if err := blk.MaxCoverError(); err != 0 {
 			t.Errorf("n=%d: covering invariant violated by %v", n, err)
 		}
-	}
-}
-
-// TestNewBulkLowerOverlap pins the point of bulk loading: on clustered
-// data the bulk-built tree must overlap (fat factor) no more than the
-// insertion-built tree.
-func TestNewBulkLowerOverlap(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	var pts [][]float64
-	for b := 0; b < 12; b++ {
-		cx, cy := rng.Float64()*100, rng.Float64()*100
-		for i := 0; i < 150; i++ {
-			pts = append(pts, []float64{cx + rng.NormFloat64(), cy + rng.NormFloat64()})
-		}
-	}
-	ins := New(metric.Euclidean, 0, pts)
-	blk := NewBulk(metric.Euclidean, 0, pts)
-	fi, fb := ins.FatFactor(), blk.FatFactor()
-	if fb > fi {
-		t.Errorf("bulk fat factor %v exceeds insertion build's %v", fb, fi)
 	}
 }
 
@@ -191,19 +199,17 @@ func TestDiameterEstimateNonMonotoneVectorMetric(t *testing.T) {
 		return math.Abs((a[0]-a[1])-(b[0]-b[1])) / math.Sqrt2
 	}
 	pts := [][]float64{{0, 1}, {1, 0}, {0.5, 0.5}, {0.2, 0.8}, {0.9, 0.1}, {0, 0}, {1, 1}}
-	for _, tr := range []*Tree[[]float64]{New(proj, 4, pts), NewBulk(proj, 4, pts)} {
-		if got := tr.DiameterEstimate(); math.Abs(got-math.Sqrt2) > 1e-12 {
-			t.Errorf("diameter = %v, want √2 via the exact path", got)
-		}
+	if got := New(proj, 4, pts).DiameterEstimate(); math.Abs(got-math.Sqrt2) > 1e-12 {
+		t.Errorf("diameter = %v, want √2 via the exact path", got)
 	}
 }
 
 func TestNewBulkEdges(t *testing.T) {
-	empty := NewBulk(metric.Euclidean, 0, nil)
+	empty := New(metric.Euclidean, 0, nil)
 	if empty.Size() != 0 || empty.RangeCount([]float64{0}, 10) != 0 {
 		t.Error("empty bulk tree misbehaves")
 	}
-	one := NewBulk(metric.Euclidean, 0, [][]float64{{1, 2}})
+	one := New(metric.Euclidean, 0, [][]float64{{1, 2}})
 	if one.Size() != 1 || one.RangeCount([]float64{1, 2}, 0) != 1 {
 		t.Error("singleton bulk tree misbehaves")
 	}
@@ -211,7 +217,7 @@ func TestNewBulkEdges(t *testing.T) {
 	for i := range dups {
 		dups[i] = []float64{7, 7}
 	}
-	dup := NewBulk(metric.Euclidean, 4, dups)
+	dup := New(metric.Euclidean, 4, dups)
 	if got := dup.RangeCount([]float64{7, 7}, 0); got != 200 {
 		t.Errorf("all-duplicates bulk tree counts %d at r=0, want 200", got)
 	}

@@ -66,7 +66,7 @@ func (t *Tree[T]) CountCrossMulti(queries []T, radii []float64, workers int) [][
 	var units []unit
 	var qt *Tree[T]
 	if t.size > 0 && len(queries) > 0 && a > 0 {
-		qt = NewBulkWithWorkers(t.dist, t.capacity, queries, workers)
+		qt = NewWithWorkers(t.dist, t.capacity, queries, workers)
 		for i := qt.entFirst[0]; i < qt.entLast[0]; i++ {
 			for j := t.entFirst[0]; j < t.entLast[0]; j++ {
 				units = append(units, unit{i, j})

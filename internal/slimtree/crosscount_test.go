@@ -63,7 +63,7 @@ func TestCountCrossMultiMatchesOracle(t *testing.T) {
 		for i := rng.Intn(8); i > 0; i-- {
 			queries = append(queries, append([]float64(nil), in[rng.Intn(len(in))]...))
 		}
-		tr := NewBulk(metric.Euclidean, 8, in)
+		tr := New(metric.Euclidean, 8, in)
 		assertCrossCountsMatch(t, fmt.Sprintf("trial%d", trial), tr, metric.Euclidean, in, queries, randRadii(rng, 150))
 	}
 }
@@ -72,21 +72,21 @@ func TestCountCrossMultiStrings(t *testing.T) {
 	in := []string{"book", "books", "boo", "cook", "cooks", "hook",
 		"graph", "graphs", "graphite", "telescope", "telescopes", "microscope"}
 	queries := []string{"book", "crook", "graph", "microscopes", "zzzzzzzzzz", ""}
-	tr := NewBulk(metric.Levenshtein, 0, in)
+	tr := New(metric.Levenshtein, 0, in)
 	assertCrossCountsMatch(t, "strings", tr, metric.Levenshtein, in, queries,
 		[]float64{0, 1, 2, 4, 8, 16})
 }
 
 func TestCountCrossMultiEdges(t *testing.T) {
 	in := [][]float64{{0, 0}, {1, 0}}
-	tr := NewBulk(metric.Euclidean, 8, in)
+	tr := New(metric.Euclidean, 8, in)
 	if got := tr.CountCrossMulti(nil, []float64{1, 2}, 1); len(got) != 2 || len(got[0]) != 0 {
 		t.Errorf("no queries: got %v, want two empty rows", got)
 	}
 	if got := tr.CountCrossMulti([][]float64{{5, 5}}, nil, 1); len(got) != 0 {
 		t.Errorf("empty radii: got %v, want no rows", got)
 	}
-	empty := NewBulk[[]float64](metric.Euclidean, 8, nil)
+	empty := New[[]float64](metric.Euclidean, 8, nil)
 	got := empty.CountCrossMulti([][]float64{{1, 1}}, []float64{1, 2}, 1)
 	if len(got) != 2 || got[0][0] != 0 || got[1][0] != 0 {
 		t.Errorf("empty tree: got %v, want zero counts", got)

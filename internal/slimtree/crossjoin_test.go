@@ -65,15 +65,8 @@ func TestBridgeFirstsMatchesOracle(t *testing.T) {
 		for i := rng.Intn(10); i > 0; i-- {
 			queries = append(queries, append([]float64(nil), in[rng.Intn(len(in))]...))
 		}
-		// Both build paths must answer identically; small capacities force
-		// deep trees.
-		var tr *Tree[[]float64]
-		capacity := []int{0, 4, 8}[rng.Intn(3)]
-		if trial%2 == 0 {
-			tr = NewBulk(metric.Euclidean, capacity, in)
-		} else {
-			tr = New(metric.Euclidean, capacity, in)
-		}
+		// Small capacities force deep trees.
+		tr := New(metric.Euclidean, []int{0, 4, 8}[rng.Intn(3)], in)
 		assertBridgeFirstsMatch(t, fmt.Sprintf("trial%d", trial), tr, metric.Euclidean, in, queries, randRadii(rng, 150))
 	}
 }
@@ -104,25 +97,25 @@ func TestBridgeFirstsStrings(t *testing.T) {
 		}
 		queries = append(queries, string(w))
 	}
-	tr := NewBulk(metric.Levenshtein, 0, in)
+	tr := New(metric.Levenshtein, 0, in)
 	assertBridgeFirstsMatch(t, "strings", tr, metric.Levenshtein, in, queries,
 		[]float64{0.5, 1, 2, 3, 5, 8, 13, 21})
 }
 
 func TestBridgeFirstsEdges(t *testing.T) {
 	in := [][]float64{{0, 0}, {1, 0}}
-	tr := NewBulk(metric.Euclidean, 0, in)
+	tr := New(metric.Euclidean, 0, in)
 	if got := tr.BridgeFirsts(nil, []float64{1, 2}, 1); len(got) != 0 {
 		t.Errorf("no queries: got %v, want empty", got)
 	}
 	if got := tr.BridgeFirsts([][]float64{{5, 5}}, nil, 1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("empty radii: got %v, want [0]", got)
 	}
-	empty := NewBulk(metric.Euclidean, 0, nil)
+	empty := New(metric.Euclidean, 0, nil)
 	if got := empty.BridgeFirsts([][]float64{{1, 1}}, []float64{1, 2}, 1); len(got) != 1 || got[0] != 2 {
 		t.Errorf("empty tree: got %v, want [len(radii)]", got)
 	}
-	one := NewBulk(metric.Euclidean, 0, [][]float64{{0, 0}})
+	one := New(metric.Euclidean, 0, [][]float64{{0, 0}})
 	got := one.BridgeFirsts([][]float64{{100, 0}, {0.5, 0}, {0, 0}}, []float64{1, 2, 4}, 1)
 	if got[0] != 3 || got[1] != 0 || got[2] != 0 {
 		t.Errorf("single indexed element: got %v, want [3 0 0]", got)
@@ -135,7 +128,7 @@ func TestBridgeFirstsRepeatable(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	in := randPoints(rng, 300, 2)
 	queries := randPoints(rng, 60, 2)
-	tr := NewBulk(metric.Euclidean, 0, in)
+	tr := New(metric.Euclidean, 0, in)
 	radii := randRadii(rng, 150)
 	first := tr.BridgeFirsts(queries, radii, 1)
 	second := tr.BridgeFirsts(queries, radii, 4)

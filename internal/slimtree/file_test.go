@@ -77,47 +77,40 @@ func fileQueryEquivalent[T any](t *testing.T, label string, want, got *Tree[T], 
 
 func TestFileRoundTripVec(t *testing.T) {
 	for _, n := range []int{1, 40, 300} {
-		for _, bulk := range []bool{false, true} {
-			pts := filePoints(n, 3, int64(n))
-			var built *Tree[[]float64]
-			if bulk {
-				built = NewBulk(metric.Euclidean, 8, pts)
-			} else {
-				built = New(metric.Euclidean, 8, pts)
-			}
-			queries := filePoints(8, 3, 99)
-			radii := []float64{0.5, 2, 8, 32}
+		pts := filePoints(n, 3, int64(n))
+		built := New(metric.Euclidean, 8, pts)
+		queries := filePoints(8, 3, 99)
+		radii := []float64{0.5, 2, 8, 32}
 
-			path := filepath.Join(t.TempDir(), "slim.mcidx")
-			if err := built.WriteFile(path); err != nil {
+		path := filepath.Join(t.TempDir(), "slim.mcidx")
+		if err := built.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []struct {
+			label string
+			opts  []arena.Option
+		}{{"mmap", nil}, {"heap", []arena.Option{arena.WithHeap()}}} {
+			label := fmt.Sprintf("n=%d %s", n, mode.label)
+			opened, err := OpenVec(path, mode.opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if opened.kc == nil {
+				t.Errorf("%s: kernel column not attached", label)
+			}
+			fileQueryEquivalent(t, label, built, opened, queries, radii)
+			var first, second bytes.Buffer
+			if err := built.Save(&first); err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []struct {
-				label string
-				opts  []arena.Option
-			}{{"mmap", nil}, {"heap", []arena.Option{arena.WithHeap()}}} {
-				label := fmt.Sprintf("n=%d bulk=%v %s", n, bulk, mode.label)
-				opened, err := OpenVec(path, mode.opts...)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if opened.kc == nil {
-					t.Errorf("%s: kernel column not attached", label)
-				}
-				fileQueryEquivalent(t, label, built, opened, queries, radii)
-				var first, second bytes.Buffer
-				if err := built.Save(&first); err != nil {
-					t.Fatal(err)
-				}
-				if err := opened.Save(&second); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(first.Bytes(), second.Bytes()) {
-					t.Errorf("%s: re-save not byte-identical", label)
-				}
-				if err := opened.Close(); err != nil {
-					t.Fatal(err)
-				}
+			if err := opened.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Errorf("%s: re-save not byte-identical", label)
+			}
+			if err := opened.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -59,12 +59,10 @@ var levenshteinPtr = reflect.ValueOf(metric.Levenshtein).Pointer()
 // and the metric is metric.Levenshtein itself, it sets the pivot column
 // lp. When the element type is []float64 and the metric is
 // metric.Euclidean itself, it flattens the entry pivots into the
-// entry-major coordinate column kc. Runs at every freeze — insertion
-// build, bulk load and SlimDown's re-freeze alike — and when a string
-// index file is opened, so the columns always mirror the live arena.
-// Ragged or empty vector inputs keep the generic path.
+// entry-major coordinate column kc. Runs once per tree, on its fresh
+// arena: at freeze, and when a string index file is opened. Ragged or
+// empty vector inputs keep the generic path.
 func (t *Tree[T]) kernelize() {
-	t.kc, t.kdim, t.lp = nil, 0, nil
 	if dist, ok := any(t.dist).(metric.Distance[string]); ok && reflect.ValueOf(dist).Pointer() == levenshteinPtr {
 		t.lp, _ = any(t.ePivot).([]string)
 		return

@@ -47,9 +47,6 @@ func TestKernelizeDetection(t *testing.T) {
 	if it := New(intDist, 8, ints); it.kc != nil {
 		t.Fatal("non-vector elements must keep the generic path")
 	}
-	if bulk := NewBulk(metric.Euclidean, 8, pts); bulk.kc == nil {
-		t.Fatal("bulk-loaded Euclidean tree should kernelize")
-	}
 }
 
 // TestKernelPathEquivalence runs every query and join of a kernelized

@@ -40,21 +40,18 @@ func mixedWords() []string {
 }
 
 // TestLevenshteinDetection pins which trees prepare patterns: string
-// trees under metric.Levenshtein itself, however they are built or
-// opened; a clone of it keeps the generic path.
+// trees under metric.Levenshtein itself, built or opened; a clone of it
+// keeps the generic path.
 func TestLevenshteinDetection(t *testing.T) {
 	words := data.LastNames(200, 5, 1).Words
-	if tr := New(metric.Levenshtein, 8, words); tr.lp == nil {
-		t.Fatal("insertion-built Levenshtein tree should prepare patterns")
-	}
-	bulk := NewBulk(metric.Levenshtein, 8, words)
+	bulk := New(metric.Levenshtein, 8, words)
 	if bulk.lp == nil || len(bulk.lp) != len(bulk.ePivot) {
 		t.Fatal("bulk-loaded Levenshtein tree should prepare patterns over every pivot")
 	}
-	if cl := NewBulk(levenshteinClone, 8, words); cl.lp != nil {
+	if cl := New(levenshteinClone, 8, words); cl.lp != nil {
 		t.Fatal("a Levenshtein clone must keep the generic path")
 	}
-	if sd := NewBulk(metric.SoundexDistance, 8, words); sd.lp != nil {
+	if sd := New(metric.SoundexDistance, 8, words); sd.lp != nil {
 		t.Fatal("another string metric must keep the generic path")
 	}
 	path := t.TempDir() + "/names.idx"
@@ -84,8 +81,8 @@ func TestLevenshteinPreparedEquivalence(t *testing.T) {
 		"mixed":     mixedWords(),
 	}
 	for name, words := range sets {
-		pt := NewBulk(metric.Levenshtein, 0, words)
-		gt := NewBulk(levenshteinClone, 0, words)
+		pt := New(metric.Levenshtein, 0, words)
+		gt := New(levenshteinClone, 0, words)
 		if pt.lp == nil || gt.lp != nil {
 			t.Fatalf("%s: detection failed (prepared %v, generic %v)", name, pt.lp != nil, gt.lp != nil)
 		}
@@ -163,8 +160,8 @@ func probeAll(tr *Tree[string], queries []string, radii []float64, workers int) 
 // pipeline of 800 names, too few for the CI alloc pin's 1.25x margin.
 func TestLevenshteinPreparedAllocations(t *testing.T) {
 	words := data.LastNames(400, 5, 1).Words
-	pt := NewBulk(metric.Levenshtein, 0, words)
-	gt := NewBulk(levenshteinClone, 0, words)
+	pt := New(metric.Levenshtein, 0, words)
+	gt := New(levenshteinClone, 0, words)
 	radii := []float64{1, 2, 3, 4, 6, 8}
 	join := func(tr *Tree[string]) float64 {
 		return testing.AllocsPerRun(3, func() { tr.CountAllMulti(radii, 1) })

@@ -4,24 +4,22 @@
 // builds one tree per input set and runs all of its neighbor-counting joins
 // through it (paper Alg. 1 L1, Alg. 3 L9, Alg. 4 L2-3).
 //
-// The tree supports any element type via generics. Insertion uses the
-// min-distance ChooseSubtree policy with minMax node splits; queries use
+// The tree supports any element type via generics. It is bulk-loaded
+// top-down from the whole dataset (bulkload.go); queries use
 // triangle-inequality pruning on covering radii and stored parent distances,
 // so a range query touches O(n^(1-1/u)) nodes on data of intrinsic
 // (correlation fractal) dimension u — the bound MCCATCH's Lemma 1 builds on.
 //
-// Construction (incremental insert or bulk load) works on linked nodes,
-// but a finished tree is FROZEN into a flat arena before any query runs:
-// nodes are laid out level by level with their entries as one contiguous
-// range [entFirst, entLast) of struct-of-arrays entry slices (pivot, the
-// interleaved radius/dPar block, count, id, child), and the element ids
-// under every
-// subtree as the contiguous range [elemFirst, elemLast) of a packed
-// leafIDs block. Traversals therefore stream radius/dPar/count values
-// linearly instead of chasing per-node entry slices, and the dual joins
-// credit whole subtrees as flat position ranges. The pointer tree is
-// dropped at freeze time; SlimDown thaws it back, reorganizes, and
-// re-freezes.
+// The bulk load builds linked nodes, and freeze flattens them into an
+// arena before any query runs: nodes are laid out level by level with
+// their entries as one contiguous range [entFirst, entLast) of
+// struct-of-arrays entry slices (pivot, the interleaved radius/dPar
+// block, count, id, child), and the element ids under every subtree as
+// the contiguous range [elemFirst, elemLast) of a packed leafIDs block.
+// Traversals therefore stream radius/dPar/count values linearly instead
+// of chasing per-node entry slices, and the dual joins credit whole
+// subtrees as flat position ranges. The linked nodes are garbage once
+// freeze returns; a finished tree is never modified.
 package slimtree
 
 import (
@@ -36,8 +34,8 @@ import (
 )
 
 // DefaultCapacity is the default maximum number of entries per node. 32
-// keeps splits cheap (minMax split is quadratic in the capacity) while
-// keeping the tree shallow.
+// keeps the per-node pivot assignment cheap (every element is compared
+// with every pivot of its node) while keeping the tree shallow.
 const DefaultCapacity = 32
 
 type entry[T any] struct {
@@ -57,13 +55,11 @@ type node[T any] struct {
 // noEntry marks an absent arena link (no child node, no element id).
 const noEntry = -1
 
-// Tree is a Slim-tree over elements of type T. After construction the
-// tree lives in the flat arena fields (see the package comment); the
-// linked root is non-nil only while building or inside SlimDown.
+// Tree is a Slim-tree over elements of type T. It lives in the flat
+// arena fields (see the package comment).
 type Tree[T any] struct {
 	dist     metric.Distance[T]
 	capacity int
-	root     *node[T] // construction-time only; nil once frozen
 	size     int
 
 	// Frozen arena. Nodes are slots assigned level by level (root = 0);
@@ -123,21 +119,6 @@ func (t *Tree[T]) DistCalls() int64 { return t.distCalls.Load() }
 // ResetDistCalls zeroes the metric-evaluation counter.
 func (t *Tree[T]) ResetDistCalls() { t.distCalls.Store(0) }
 
-// New builds a Slim-tree with the given distance and node capacity
-// (DefaultCapacity if cap < 4), inserting the items in order. Item i is
-// reported by queries as id i.
-func New[T any](dist metric.Distance[T], capacity int, items []T) *Tree[T] {
-	if capacity < 4 {
-		capacity = DefaultCapacity
-	}
-	t := &Tree[T]{dist: dist, capacity: capacity}
-	for i, it := range items {
-		t.insert(it, i)
-	}
-	t.freeze()
-	return t
-}
-
 // Size returns the number of indexed elements.
 func (t *Tree[T]) Size() int { return t.size }
 
@@ -146,23 +127,15 @@ func (t *Tree[T]) d(a, b T) float64 {
 	return t.dist(a, b)
 }
 
-// freeze flattens the linked tree into the arena and drops the linked
-// nodes. A breadth-first walk assigns node slots level by level — each
-// node's entries land in one contiguous SoA range, in entry order — and
-// a depth-first pass packs the element ids under every subtree into one
-// contiguous leafIDs range (slim-trees balance by splitting at the root,
-// and the bulk loader caps group sizes per level, but neither guarantees
-// every leaf sits at the same depth, so the element order is the
-// depth-first one rather than the last level's). No metric is ever
-// evaluated here.
-func (t *Tree[T]) freeze() {
-	if t.root == nil {
-		t.leaf, t.entFirst, t.entLast, t.parent = nil, nil, nil, nil
-		t.ePivot, t.eRD = nil, nil
-		t.eCount, t.eID, t.eChild, t.ePos, t.leafIDs = nil, nil, nil, nil, nil
-		t.kc, t.kdim, t.lp = nil, 0, nil
-		return
-	}
+// freeze flattens the linked tree under root into the arena. A
+// breadth-first walk assigns node slots level by level — each node's
+// entries land in one contiguous SoA range, in entry order — and a
+// depth-first pass packs the element ids under every subtree into one
+// contiguous leafIDs range (the bulk loader makes a leaf of any group
+// that fits one node, so leaves need not all sit at the same depth, and
+// the element order is the depth-first one rather than the last
+// level's). No metric is ever evaluated here.
+func (t *Tree[T]) freeze(root *node[T]) {
 	// Pre-count nodes and entries so every arena slice is allocated
 	// exactly once (append-grown slices would copy log-many times and
 	// strand up to half their capacity).
@@ -177,7 +150,7 @@ func (t *Tree[T]) freeze() {
 			}
 		}
 	}
-	count(t.root)
+	count(root)
 	t.leaf = make([]bool, 0, nNodes)
 	t.entFirst = make([]int32, 0, nNodes)
 	t.entLast = make([]int32, 0, nNodes)
@@ -194,7 +167,7 @@ func (t *Tree[T]) freeze() {
 		par int32
 	}
 	queue := make([]item, 0, nNodes)
-	queue = append(queue, item{t.root, noEntry})
+	queue = append(queue, item{root, noEntry})
 	for at := 0; at < len(queue); at++ {
 		n := queue[at].n
 		t.leaf = append(t.leaf, n.leaf)
@@ -220,7 +193,6 @@ func (t *Tree[T]) freeze() {
 	t.elemLast = make([]int32, len(t.leaf))
 	t.assignElems(0)
 	t.kernelize()
-	t.root = nil
 }
 
 // assignElems packs the element ids under node n depth-first, recording
@@ -236,189 +208,6 @@ func (t *Tree[T]) assignElems(n int32) {
 		t.leafIDs = append(t.leafIDs, t.eID[k])
 	}
 	t.elemLast[n] = int32(len(t.leafIDs))
-}
-
-// thaw rebuilds the linked tree from the arena (the inverse of freeze),
-// so construction-time algorithms — SlimDown — can reorganize it.
-func (t *Tree[T]) thaw() {
-	if t.root != nil || len(t.leaf) == 0 {
-		return
-	}
-	var build func(n int32) *node[T]
-	build = func(n int32) *node[T] {
-		nn := &node[T]{leaf: t.leaf[n], entries: make([]entry[T], 0, t.entLast[n]-t.entFirst[n])}
-		for k := t.entFirst[n]; k < t.entLast[n]; k++ {
-			e := entry[T]{
-				pivot:  t.ePivot[k],
-				id:     int(t.eID[k]),
-				radius: t.eRD[2*k],
-				dPar:   t.eRD[2*k+1],
-				count:  int(t.eCount[k]),
-			}
-			if c := t.eChild[k]; c >= 0 {
-				e.child = build(c)
-			}
-			nn.entries = append(nn.entries, e)
-		}
-		return nn
-	}
-	t.root = build(0)
-}
-
-// insert adds one element with the given id.
-func (t *Tree[T]) insert(item T, id int) {
-	t.size++
-	if t.root == nil {
-		t.root = &node[T]{leaf: true, entries: []entry[T]{{pivot: item, id: id, count: 1}}}
-		return
-	}
-	e1, e2, split := t.insertAt(t.root, nil, item, id)
-	if split {
-		// Root entries have no parent pivot; their dPar is never consulted
-		// because queries start with dq = NaN.
-		t.root = &node[T]{leaf: false, entries: []entry[T]{e1, e2}}
-	}
-}
-
-// insertAt inserts into the subtree rooted at n, whose entries hang under
-// parentPivot (nil at the root). When n overflows it splits and returns the
-// two promoted entries with split=true; the CALLER must fix their dPar
-// against its own parent pivot before storing them, since promoted entries
-// move one level up.
-func (t *Tree[T]) insertAt(n *node[T], parentPivot *T, item T, id int) (e1, e2 entry[T], split bool) {
-	if n.leaf {
-		ne := entry[T]{pivot: item, id: id, count: 1}
-		if parentPivot != nil {
-			ne.dPar = t.d(item, *parentPivot)
-		}
-		n.entries = append(n.entries, ne)
-		if len(n.entries) > t.capacity {
-			return t.splitNode(n)
-		}
-		return entry[T]{}, entry[T]{}, false
-	}
-	// ChooseSubtree (minDist policy): prefer the child whose region already
-	// covers the item; among those pick the closest pivot. If none covers,
-	// pick the one needing the smallest radius increase.
-	best := -1
-	bestD := math.Inf(1)
-	covered := false
-	dists := make([]float64, len(n.entries))
-	for i := range n.entries {
-		dists[i] = t.d(item, n.entries[i].pivot)
-		c := dists[i] <= n.entries[i].radius
-		switch {
-		case c && !covered:
-			covered, best, bestD = true, i, dists[i]
-		case c && covered && dists[i] < bestD:
-			best, bestD = i, dists[i]
-		case !c && !covered:
-			if inc := dists[i] - n.entries[i].radius; inc < bestD {
-				best, bestD = i, inc
-			}
-		}
-	}
-	ch := &n.entries[best]
-	if dists[best] > ch.radius {
-		ch.radius = dists[best]
-	}
-	ch.count++
-	c1, c2, didSplit := t.insertAt(ch.child, &ch.pivot, item, id)
-	if didSplit {
-		// Promoted entries now live in n: recompute their parent distance
-		// against n's own parent pivot.
-		if parentPivot != nil {
-			c1.dPar = t.d(c1.pivot, *parentPivot)
-			c2.dPar = t.d(c2.pivot, *parentPivot)
-		}
-		// Replace the overflowed child entry by the two promoted ones.
-		n.entries[best] = c1
-		n.entries = append(n.entries, c2)
-		if len(n.entries) > t.capacity {
-			return t.splitNode(n)
-		}
-	}
-	return entry[T]{}, entry[T]{}, false
-}
-
-// splitNode performs a minMax split: it tries pivot pairs and keeps the pair
-// whose balanced assignment yields the smallest larger covering radius, then
-// returns the two promoted entries. To bound the cost on large capacities it
-// examines a deterministic subset of candidate pairs.
-func (t *Tree[T]) splitNode(n *node[T]) (entry[T], entry[T], bool) {
-	m := len(n.entries)
-	// Pairwise distances among entry pivots.
-	dm := make([][]float64, m)
-	for i := range dm {
-		dm[i] = make([]float64, m)
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			d := t.d(n.entries[i].pivot, n.entries[j].pivot)
-			dm[i][j], dm[j][i] = d, d
-		}
-	}
-	bestI, bestJ := 0, 1
-	bestScore := math.Inf(1)
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			r1, r2 := assignRadii(dm, n.entries, i, j)
-			score := math.Max(r1, r2)
-			if score < bestScore {
-				bestScore, bestI, bestJ = score, i, j
-			}
-		}
-	}
-	// Distribute each entry to the closer pivot, breaking ties toward bestI
-	// except for bestJ itself, so both sides are nonempty even when every
-	// pairwise distance is zero (duplicate-heavy data).
-	var side1, side2 []int
-	for k := 0; k < m; k++ {
-		if dm[k][bestI] <= dm[k][bestJ] && k != bestJ {
-			side1 = append(side1, k)
-		} else {
-			side2 = append(side2, k)
-		}
-	}
-	build := func(pivotIdx int, side []int) (*node[T], float64, int) {
-		nn := &node[T]{leaf: n.leaf, entries: make([]entry[T], 0, len(side))}
-		r := 0.0
-		total := 0
-		for _, k := range side {
-			e := n.entries[k]
-			e.dPar = dm[k][pivotIdx]
-			nn.entries = append(nn.entries, e)
-			total += e.count
-			if cover := e.dPar + e.radius; cover > r {
-				r = cover
-			}
-		}
-		return nn, r, total
-	}
-	n1, r1, c1 := build(bestI, side1)
-	n2, r2, c2 := build(bestJ, side2)
-	e1 := entry[T]{pivot: n.entries[bestI].pivot, id: -1, radius: r1, child: n1, count: c1}
-	e2 := entry[T]{pivot: n.entries[bestJ].pivot, id: -1, radius: r2, child: n2, count: c2}
-	return e1, e2, true
-}
-
-// assignRadii simulates assigning every entry to the closer of pivots i and
-// j and returns the two covering radii that would result.
-func assignRadii[T any](dm [][]float64, entries []entry[T], i, j int) (r1, r2 float64) {
-	for k := range entries {
-		d1 := dm[k][i] + entries[k].radius
-		d2 := dm[k][j] + entries[k].radius
-		if dm[k][i] <= dm[k][j] {
-			if d1 > r1 {
-				r1 = d1
-			}
-		} else {
-			if d2 > r2 {
-				r2 = d2
-			}
-		}
-	}
-	return r1, r2
 }
 
 // RangeCount returns the number of indexed elements within distance r of q
@@ -638,8 +427,8 @@ type kCand struct {
 }
 
 // KNN returns the ids and distances of the k nearest elements to q, closest
-// first. Ties break by insertion id. If the tree has fewer than k elements
-// all of them are returned.
+// first. Ties break toward the smaller element id. If the tree has fewer
+// than k elements all of them are returned.
 func (t *Tree[T]) KNN(q T, k int) (ids []int, dists []float64) {
 	if t.size == 0 || k <= 0 {
 		return nil, nil
@@ -732,10 +521,9 @@ func (t *Tree[T]) KNN(q T, k int) (ids []int, dists []float64) {
 			if isLeaf {
 				// Admit while below capacity, and past it whenever (d, id)
 				// beats the current worst — the id comparison keeps ties at
-				// the k-th distance settled by insertion id alone, never by
+				// the k-th distance settled by element id alone, never by
 				// traversal order, so any tree arrangement over the same
-				// elements (insert-built, bulk-loaded, slimmed-down)
-				// returns the same k ids.
+				// elements (any capacity) returns the same k ids.
 				id := int(t.eID[e])
 				if len(heap) < k || d < heap[0].d || (d == heap[0].d && id < heap[0].id) {
 					push(kCand{id: id, d: d})
@@ -773,10 +561,10 @@ func (t *Tree[T]) KNN(q T, k int) (ids []int, dists []float64) {
 // DiameterEstimate estimates the diameter of the indexed set (paper
 // Alg. 1 L2's l) via the shared data-only estimator (internal/diameter):
 // the value depends only on the indexed DATA, never on the tree's
-// arrangement, so the insertion and bulk builds (and any SlimDown
-// reorganization) report the same value and the radii schedule derived
-// from it — and with it the whole pipeline output — is identical across
-// build paths. Vector data gets the sweep-validated bounding-box corner
+// arrangement, so trees of any capacity over the same elements report
+// the same value, and the radii schedule derived from it — and with it
+// the whole pipeline output — does not depend on the tree's shape.
+// Vector data gets the sweep-validated bounding-box corner
 // distance (the same value the kd/R-trees report); other element types
 // get the exact diameter while small and a capped iterated
 // farthest-point estimate beyond diameter.ExactThreshold — O(k·n) metric

@@ -231,7 +231,7 @@ func TestDiameterEstimateUniformDistanceLinear(t *testing.T) {
 		}
 		return 1
 	}
-	tr := NewBulk(uniform, 0, elems)
+	tr := New(uniform, 0, elems)
 	tr.ResetDistCalls()
 	if got := tr.DiameterEstimate(); got != 1 {
 		t.Fatalf("uniform-distance diameter = %v, want 1", got)

@@ -184,8 +184,8 @@ func WithCustomCost(bitsPerUnit float64) Option {
 }
 
 // WithTreeCapacity sets the slim-tree node capacity (default 32). The
-// capacity must be at least 4 — below that the minMax split cannot
-// distribute entries.
+// capacity must be at least 4: the slim-tree treats smaller values as
+// unset and would silently build at the default instead.
 func WithTreeCapacity(k int) Option {
 	return func(p *core.Params) error {
 		if k < 4 {
@@ -196,44 +196,12 @@ func WithTreeCapacity(k int) Option {
 	}
 }
 
-// WithInsertionBuild reverts slim-tree construction to the legacy
-// incremental insert path (ChooseSubtree + minMax splits). By default
-// every slim-tree is bulk-loaded: each level picks pivots from a sample of
-// its elements (k-medoid style) and partitions the elements under a
-// balance cap, which builds several times faster and yields compact,
-// low-overlap nodes that all queries — and the Step II dual-tree self-join
-// — prune against far more effectively. The two builds are
-// query-equivalent, so the detection Result is byte-identical either way;
-// this option exists for benchmarking the build paths against each other.
-func WithInsertionBuild() Option {
-	return func(p *core.Params) error {
-		p.InsertionBuild = true
-		return nil
-	}
-}
-
-// WithSlimDown enables the Slim-tree's slim-down reorganization (Traina
-// Jr. et al.) with the given number of passes after each tree build. It
-// reduces node overlap, which can cut distance computations on clustered
-// data; results are unchanged.
-func WithSlimDown(passes int) Option {
-	return func(p *core.Params) error {
-		if passes < 0 {
-			return fmt.Errorf("mccatch: WithSlimDown: passes must be ≥ 0, got %d", passes)
-		}
-		p.SlimDownPasses = passes
-		return nil
-	}
-}
-
 // WithWorkers sets the number of concurrent workers the pipeline uses for
 // its per-point work: the Step II neighbor-count curves, the Step III
 // gelling range queries, the Step IV bridge searches and scoring, and the
-// index builds (the default bulk-loaded slim-tree as well as the
-// kd-tree/R-tree under RunVectorsKD/RunVectorsR; only the legacy
-// WithInsertionBuild slim-tree path is inherently serial). n = 0 (the
-// default) means runtime.GOMAXPROCS(0); n = 1 forces a fully serial run;
-// negative counts are rejected.
+// index builds (the bulk-loaded slim-tree, the kd-tree and the R-tree).
+// n = 0 (the default) means runtime.GOMAXPROCS(0); n = 1 forces a fully
+// serial run; negative counts are rejected.
 //
 // Determinism guarantee: the Result is byte-identical for every worker
 // count. Workers write into preallocated per-index slots, every
@@ -301,19 +269,17 @@ func Run[T any](items []T, dist Distance[T], opts ...Option) (*Result, error) {
 // and be free of NaN/Inf values; otherwise an error is returned before any
 // work is done.
 //
-// The index backend defaults to the STR bulk-loaded R-tree: across the
-// 2d/8d × 4k/10k backend sweep it is the fastest end-to-end choice (it
-// wins three of the four cells outright and ties the kd-tree on the
-// fourth; the kd-tree degrades steeply at 8 dimensions and the slim-tree
-// pays generic-metric overhead that coordinate trees avoid — see the
-// README's backend notes for the measured numbers). The Result is
+// The index backend defaults to the STR bulk-loaded R-tree. In the
+// README's serial backend sweep the kd-tree wins both 2d cells, while
+// the R-tree wins every 8d and 32d cell, where the absolute cost is
+// largest, by 1.09–1.23× over the kd-tree; the slim-tree pays
+// generic-metric overhead that coordinate trees avoid. The Result is
 // byte-identical across backends on vector data — all three answer exact
 // range counts and share one radii schedule — so only the constants
 // change. The slim-tree remains available three ways: RunVectorsSlim,
 // the generic Run(points, mccatch.Euclidean, ...), and implicitly
-// whenever a slim-tree-specific option (WithTreeCapacity,
-// WithInsertionBuild, WithSlimDown) is passed, so those options keep
-// their meaning.
+// whenever the slim-tree-specific WithTreeCapacity is passed, so that
+// option keeps its meaning.
 func RunVectors(points [][]float64, opts ...Option) (*Result, error) {
 	d, err := BuildVectors(points, opts...)
 	if err != nil {

@@ -262,43 +262,6 @@ func TestRunVectorsRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestWithSlimDownSameResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	var pts [][]float64
-	for i := 0; i < 700; i++ {
-		pts = append(pts, []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2})
-	}
-	pts = append(pts, []float64{50, 50}, []float64{50.1, 50.1}, []float64{-60, 0})
-	plain, err := RunVectors(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slim, err := RunVectors(pts, WithSlimDown(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Microclusters) != len(slim.Microclusters) {
-		t.Fatalf("slim-down changed results: %d vs %d mcs", len(plain.Microclusters), len(slim.Microclusters))
-	}
-	// Slim-down tightens the root covering radii, so the diameter estimate
-	// (and with it the radii schedule and exact scores) may shift by a hair;
-	// memberships must be identical and scores within 5%.
-	for i := range plain.Microclusters {
-		a, b := plain.Microclusters[i], slim.Microclusters[i]
-		if len(a.Members) != len(b.Members) {
-			t.Fatalf("slim-down changed mc %d membership: %+v vs %+v", i, a, b)
-		}
-		for k := range a.Members {
-			if a.Members[k] != b.Members[k] {
-				t.Fatalf("slim-down changed mc %d members", i)
-			}
-		}
-		if rel := (a.Score - b.Score) / a.Score; rel > 0.05 || rel < -0.05 {
-			t.Fatalf("slim-down moved mc %d score by %v%%", i, rel*100)
-		}
-	}
-}
-
 func TestRunTreesWithEditDistance(t *testing.T) {
 	// Rooted skeleton trees under the exact Zhang-Shasha distance: the
 	// quadrupeds must be flagged among the bipeds.
