@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (Sec. V) at CI-friendly scales, plus micro-benchmarks of the substrates
-// and the ablations called out in DESIGN.md. Run with:
+// and ablations of the design choices (index backend, tree capacity,
+// batched against repeated counting, dual against per-point joins). Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
@@ -303,8 +305,8 @@ func BenchmarkSlimTreeKNN(b *testing.B) {
 	}
 }
 
-// Ablation (DESIGN.md): the kd-tree index against the slim-tree on the
-// same vector workload — the paper's footnote 4 trade-off.
+// Ablation: the kd-tree index against the slim-tree on the same vector
+// workload — the paper's footnote 4 trade-off.
 func BenchmarkAblationKDTreeRangeQuery(b *testing.B) {
 	b.ReportAllocs()
 	pts := randPoints(10000, 2)

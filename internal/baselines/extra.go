@@ -207,9 +207,9 @@ func (d PLDOF) Score(points [][]float64) []float64 {
 // DeepSVDD stands in for Deep SVDD (Ruff et al., ICML 2018) without a
 // neural feature map: the linear-kernel SVDD optimum is the minimum
 // enclosing ball, approximated by the Bădoiu–Clarkson core-set iteration;
-// the score is the distance to the ball's center. DESIGN.md §3 records the
-// substitution (the evaluation role — a one-class boundary that misses
-// microclusters near the boundary — is preserved).
+// the score is the distance to the ball's center. The substitution keeps
+// the baseline's evaluation role: a one-class boundary that misses
+// microclusters near the boundary.
 type DeepSVDD struct {
 	Iters int
 }

@@ -9,9 +9,9 @@ import (
 // (KDD 2017): the anomaly score is the reconstruction error of the point
 // under a low-rank linear autoencoder, i.e. projection onto the top-k
 // principal components (a linear autoencoder's optimum is the PCA
-// subspace). It is deterministic and stdlib-only; DESIGN.md §3 records the
-// substitution. Components is the latent dimensionality (Tab. II's network
-// shrinks the dimension by dimdecay; k plays the same role).
+// subspace), which keeps the detector deterministic and stdlib-only.
+// Components is the latent dimensionality (Tab. II's network shrinks the
+// dimension by dimdecay; k plays the same role).
 type RDA struct {
 	Components int
 }

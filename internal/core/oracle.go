@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"mccatch/internal/index"
 	"mccatch/internal/join"
@@ -17,40 +18,48 @@ type plateau struct {
 }
 
 // buildOraclePlot runs Alg. 2: it counts neighbors per radius with the
-// batched self-join (staged dual-tree joins on indexes that support them,
-// gated per-point batched probes otherwise), extracts each point's
-// plateaus, and fills res.OracleX (1NN Distance = first-plateau length)
-// and res.OracleY (Group 1NN Distance = middle-plateau length).
+// batched self-join (staged dual-tree joins and capped counts on
+// indexes that support them, gated per-point batched probes otherwise),
+// extracts each point's plateaus, and fills res.OracleX (1NN Distance =
+// first-plateau length) and res.OracleY (Group 1NN Distance =
+// middle-plateau length). The counts come clipped (join.ClipCounts),
+// which changes no plateau the two lengths read. Each worker reuses one
+// count column and one plateau list across its points.
 func buildOraclePlot[T any](tree index.Index[T], items []T, p Params, res *Result) {
 	radii := res.Radii
-	counts := join.SelfMultiRadiusCounts(tree, items, radii, p.MaxCardinality, true, p.Workers)
+	counts := join.SelfClippedCounts(tree, items, radii, p.MaxCardinality, p.MaxSlope, true, p.Workers)
+	type scratch struct {
+		q  []int
+		ps []plateau
+	}
+	pool := sync.Pool{New: func() any { return &scratch{q: make([]int, len(radii))} }}
 	parallel.For(p.Workers, len(items), func(i int) {
-		q := make([]int, len(radii))
+		sc := pool.Get().(*scratch)
 		for e := range radii {
-			q[e] = counts[e][i]
+			sc.q[e] = counts[e][i]
 		}
-		ps := plateaus(q, p.MaxSlope)
-		res.OracleX[i] = firstPlateauLength(ps, radii)
-		res.OracleY[i] = middlePlateauLength(ps, radii, p.MaxCardinality)
+		sc.ps = plateaus(sc.ps[:0], sc.q, p.MaxSlope)
+		res.OracleX[i] = firstPlateauLength(sc.ps, radii)
+		res.OracleY[i] = middlePlateauLength(sc.ps, radii, p.MaxCardinality)
+		pool.Put(sc)
 	})
 }
 
-// plateaus segments the neighbor-count curve of one point into maximal runs
-// where SLOPE(e) = Δlog2(count)/Δlog2(r) ≤ b (Def. 1). Radii are geometric
-// with ratio 2, so Δlog2(r) = 1 and the slope between consecutive radii is
-// simply log2(q[e+1]/q[e]). Runs of a single radius are length-0 plateaus.
-func plateaus(q []int, b float64) []plateau {
-	var out []plateau
+// plateaus appends to dst the segmentation of one point's
+// neighbor-count curve into maximal runs where SLOPE(e) =
+// Δlog2(count)/Δlog2(r) ≤ b (Def. 1). Radii are geometric with ratio 2,
+// so Δlog2(r) = 1 and the slope between consecutive radii is simply
+// log2(q[e+1]/q[e]). Runs of a single radius are length-0 plateaus.
+func plateaus(dst []plateau, q []int, b float64) []plateau {
 	start := 0
 	for e := 0; e+1 < len(q); e++ {
 		s := math.Log2(float64(q[e+1])) - math.Log2(float64(q[e]))
 		if s > b {
-			out = append(out, plateau{start: start, end: e, height: q[start]})
+			dst = append(dst, plateau{start: start, end: e, height: q[start]})
 			start = e + 1
 		}
 	}
-	out = append(out, plateau{start: start, end: len(q) - 1, height: q[start]})
-	return out
+	return append(dst, plateau{start: start, end: len(q) - 1, height: q[start]})
 }
 
 // firstPlateauLength returns x_i: the length of the unique height-1 plateau

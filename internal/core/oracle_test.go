@@ -8,7 +8,7 @@ import (
 func TestPlateausSegmentation(t *testing.T) {
 	// Counts over 6 radii: flat at 1, jump, flat at 5, jump, flat at 100.
 	q := []int{1, 1, 5, 5, 100, 100}
-	ps := plateaus(q, 0.1)
+	ps := plateaus(nil, q, 0.1)
 	if len(ps) != 3 {
 		t.Fatalf("got %d plateaus, want 3: %+v", len(ps), ps)
 	}
@@ -23,32 +23,32 @@ func TestPlateausSegmentation(t *testing.T) {
 func TestPlateausQuasiUnaltered(t *testing.T) {
 	// Slope b=0.1 tolerates growth up to 2^0.1 ≈ 7% per radius doubling:
 	// 100 → 107 stays in the same plateau, 100 → 120 does not.
-	ps := plateaus([]int{100, 107, 114}, 0.1)
+	ps := plateaus(nil, []int{100, 107, 114}, 0.1)
 	if len(ps) != 1 {
 		t.Errorf("7%% growth should stay one plateau, got %+v", ps)
 	}
-	ps = plateaus([]int{100, 120, 144}, 0.1)
+	ps = plateaus(nil, []int{100, 120, 144}, 0.1)
 	if len(ps) != 3 {
 		t.Errorf("20%% growth should break plateaus, got %+v", ps)
 	}
 }
 
 func TestPlateausStrictSlopeZero(t *testing.T) {
-	ps := plateaus([]int{1, 1, 2, 2}, 0)
+	ps := plateaus(nil, []int{1, 1, 2, 2}, 0)
 	if len(ps) != 2 || ps[0].height != 1 || ps[1].height != 2 {
 		t.Errorf("b=0: got %+v", ps)
 	}
 }
 
 func TestPlateausAllFlat(t *testing.T) {
-	ps := plateaus([]int{7, 7, 7, 7}, 0.1)
+	ps := plateaus(nil, []int{7, 7, 7, 7}, 0.1)
 	if len(ps) != 1 || ps[0].start != 0 || ps[0].end != 3 {
 		t.Errorf("flat counts should be one plateau, got %+v", ps)
 	}
 }
 
 func TestPlateausSingleRadius(t *testing.T) {
-	ps := plateaus([]int{4}, 0.1)
+	ps := plateaus(nil, []int{4}, 0.1)
 	if len(ps) != 1 || ps[0].start != 0 || ps[0].end != 0 {
 		t.Errorf("single radius: got %+v", ps)
 	}

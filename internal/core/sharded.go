@@ -108,20 +108,51 @@ func (x *partition[T]) CountAllMulti(radii []float64, workers int) [][]int {
 	return sum
 }
 
-// CountCrossMulti sums the parts' cross counts of queries.
-func (x *partition[T]) CountCrossMulti(queries []T, radii []float64, workers int) [][]int {
-	sum := make([][]int, len(radii))
-	for e := range sum {
-		sum[e] = make([]int, len(queries))
-	}
-	for _, t := range x.trees {
-		for e, row := range join.CrossMultiRadiusCounts(t, queries, radii, workers) {
-			for i, c := range row {
-				sum[e][i] += c
-			}
+// RangeCountCapped sums the parts' capped counts, passing each part
+// what is left of the limit.
+func (x *partition[T]) RangeCountCapped(q T, r float64, limit int) int {
+	return x.cappedOthers(q, r, -1, 0, limit)
+}
+
+// cappedOthers adds the capped counts of q in every part but skip to
+// got, passing each part what is left of the limit, and returns the
+// sum.
+func (x *partition[T]) cappedOthers(q T, r float64, skip, got, limit int) int {
+	for u, t := range x.trees {
+		if u != skip && got < limit {
+			got += index.RangeCountCapped(t, q, r, limit-got)
 		}
 	}
-	return sum
+	return got
+}
+
+// CountAllCapped counts each part's elements against their own tree
+// first, with the part's capped counter, then against every other part
+// with what is left of each limit. The parts run concurrently, each on
+// its share of the worker budget, and each writes only its own ids.
+func (x *partition[T]) CountAllCapped(r float64, limits, dst []int, workers int) {
+	// Each part takes its limits and counts, in its own id order, from
+	// its own stretch of one scratch slice.
+	scratch := make([]int, 2*x.Size())
+	offs := make([]int, len(x.trees)+1)
+	for s, part := range x.set.Parts {
+		offs[s+1] = offs[s] + 2*len(part.IDs)
+	}
+	inner := innerWorkers(workers, len(x.trees))
+	parallel.For(workers, len(x.trees), func(s int) {
+		part := x.set.Parts[s]
+		lim := scratch[offs[s] : offs[s]+len(part.IDs)]
+		got := scratch[offs[s]+len(part.IDs) : offs[s+1]]
+		for m, id := range part.IDs {
+			lim[m] = limits[id]
+		}
+		join.CountAllCapped(x.trees[s], part.Items, r, lim, got, inner)
+		parallel.For(inner, len(lim), func(m int) {
+			if lim[m] > 0 {
+				dst[part.IDs[m]] = x.cappedOthers(part.Items[m], r, s, got[m], lim[m])
+			}
+		})
+	})
 }
 
 // innerWorkers splits a total worker budget across k concurrent parts:

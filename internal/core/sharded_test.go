@@ -177,11 +177,22 @@ func checkPartition[T any](t *testing.T, label string, items, queries []T, dist 
 	one := builderFor(1)(items)
 	radii := MakeRadii(one.DiameterEstimate(), 8)
 	wantAll := one.(index.SelfMultiCounter).CountAllMulti(radii, 1)
-	wantCross := one.(index.CrossCounter[T]).CountCrossMulti(queries, radii, 1)
 	caps := []int{2, len(items) / 10, len(items)}
 	wantStaged := make([][][]int, len(caps))
+	wantClipped := make([][][]int, len(caps))
 	for c, cap := range caps {
 		wantStaged[c] = join.SelfMultiRadiusCounts(one, items, radii, cap, true, 1)
+		wantClipped[c] = join.SelfClippedCounts(one, items, radii, cap, 0.1, true, 1)
+	}
+	// Limits from 0 (no count) to above n, spread over the elements.
+	limits := make([]int, len(items))
+	for i := range limits {
+		limits[i] = (i * 7) % (len(items) + 2)
+	}
+	wantCapped := make([][]int, len(radii))
+	for e, r := range radii {
+		wantCapped[e] = make([]int, len(items))
+		one.(index.CappedCounter[T]).CountAllCapped(r, limits, wantCapped[e], 1)
 	}
 	sortedQuery := func(tr index.Index[T], q T, r float64) []int {
 		ids := tr.RangeQuery(q, r)
@@ -206,6 +217,11 @@ func checkPartition[T any](t *testing.T, label string, items, queries []T, dist 
 					if got, want := sortedQuery(tr, q, r), sortedQuery(one, q, r); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: query %d r=%v: RangeQuery %v, one index %v", at, qi, r, got, want)
 					}
+					for _, limit := range []int{0, 1, 5, len(items)} {
+						if got, want := index.RangeCountCapped(tr, q, r, limit), min(one.RangeCount(q, r), limit); got != want {
+							t.Fatalf("%s: query %d r=%v limit %d: RangeCountCapped %d, want %d", at, qi, r, limit, got, want)
+						}
+					}
 				}
 				// A non-empty dst checks that the parts' curves sum past
 				// what the caller already holds.
@@ -217,12 +233,19 @@ func checkPartition[T any](t *testing.T, label string, items, queries []T, dist 
 			if got := tr.(index.SelfMultiCounter).CountAllMulti(radii, workers); !reflect.DeepEqual(got, wantAll) {
 				t.Fatalf("%s: CountAllMulti differs from the one index's", at)
 			}
-			if got := tr.(index.CrossCounter[T]).CountCrossMulti(queries, radii, workers); !reflect.DeepEqual(got, wantCross) {
-				t.Fatalf("%s: CountCrossMulti differs from the one index's", at)
+			for e, r := range radii {
+				got := make([]int, len(items))
+				tr.(index.CappedCounter[T]).CountAllCapped(r, limits, got, workers)
+				if !reflect.DeepEqual(got, wantCapped[e]) {
+					t.Fatalf("%s: CountAllCapped at r=%v differs from the one index's", at, r)
+				}
 			}
 			for c, cap := range caps {
 				if got := join.SelfMultiRadiusCounts(tr, items, radii, cap, true, workers); !reflect.DeepEqual(got, wantStaged[c]) {
 					t.Fatalf("%s: SelfMultiRadiusCounts at cap %d differs from the one index's", at, cap)
+				}
+				if got := join.SelfClippedCounts(tr, items, radii, cap, 0.1, true, workers); !reflect.DeepEqual(got, wantClipped[c]) {
+					t.Fatalf("%s: SelfClippedCounts at cap %d differs from the one index's", at, cap)
 				}
 			}
 		}

@@ -4,7 +4,8 @@
 // dimension and outlier rate), the satellite-tile showcases, the scalability
 // sets (Uniform, Diagonal), and the nondimensional sets (Last Names,
 // Fingerprints, Skeletons). The originals are not redistributable and the
-// module is offline; DESIGN.md §3 documents each substitution.
+// module is offline; each generator's doc comment names the dataset it
+// stands in for and what it matches.
 //
 // Every generator takes an explicit seed and is deterministic given it.
 package data

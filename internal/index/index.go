@@ -4,7 +4,7 @@
 // of this repository's trees satisfy Index, so the pipeline can swap them
 // (and the benchmarks can ablate the choice).
 //
-// Beyond the base Index contract, backends may implement two optional
+// Beyond the base Index contract, backends may implement several optional
 // extensions that the joins detect dynamically:
 //
 //   - MultiCounter batches the neighbor counts at several nested radii
@@ -19,10 +19,21 @@
 //     index against itself. All three bundled trees implement it natively
 //     (the slim-tree with covering-ball bounds, the kd-tree and R-tree
 //     with min/max box-distance bounds); join.SelfMultiRadiusCounts falls
-//     back to gated per-point probes for any other backend. With a
-//     CrossCounter beside it, join.SelfMultiRadiusCounts runs the
-//     self-join only up to a split radius and counts the rest for the
-//     points not yet excused.
+//     back to gated per-point probes for any other backend. Step II
+//     (join.SelfClippedCounts) runs the self-join only up to a split
+//     radius and counts the rest for the points not yet excused, with a
+//     CappedCounter where the index has one.
+//   - CappedCounter counts only up to a limit: min(true count, limit),
+//     per query or for every indexed element at once with a limit each.
+//     Step II reads a count above the microcluster cap only through "is
+//     it above the cap" and one slope test, so past the split radius the
+//     staged join.SelfClippedCounts asks each point not yet excused for
+//     its count clipped to a limit instead of its full count. The kd-tree
+//     and R-tree answer the batched form one leaf of their own tree at a
+//     time; the slim-tree answers it per element. Each backend's
+//     per-query form is its RangeCount traversal stopping at the limit;
+//     index.RangeCountCapped falls back to min(RangeCount, limit) for any
+//     other backend.
 //   - CrossMultiCounter answers the Step IV bridge search — for every
 //     outlier, the first radius with an inlier neighbor — from ONE dual
 //     traversal of the inlier index against a throwaway tree over the
@@ -36,7 +47,7 @@
 // A sharded index (core.BuildIndex under Params.Shards > 1) is an Index
 // over the disjoint union of several trees, one per part: it sums their
 // counts, maps their ids back to global ones, and implements
-// MultiCountAppender, SelfMultiCounter and CrossCounter on top of the
+// MultiCountAppender, SelfMultiCounter and CappedCounter on top of the
 // parts' own.
 //
 // internal/segment's Mutable, the LSM-style incremental layer, is not an
@@ -114,14 +125,13 @@ type CrossMultiCounter[T any] interface {
 // where CrossMultiCounter resolves only each query's FIRST nonempty
 // radius (all Step IV needs), this returns each query's full neighbor
 // count at every radius of an ascending schedule — the quantity a
-// sharded index sums across its parts to count against their union,
-// and the quantity the staged Step II (join.SelfMultiRadiusCounts)
-// takes past its split radius for the points not yet excused.
-// Implementations bulk-build a throwaway tree over the queries and
-// classify query subtrees against index subtrees wholesale, exactly
-// like the self-join but crediting one-directionally. All three
-// bundled trees implement it; join.CrossMultiRadiusCounts falls back to
-// batched per-query probes for any other backend, and both paths return
+// sharded index sums across its parts to count a part's elements
+// against the other parts, and what join.CrossMultiRadiusCounts
+// returns. Implementations bulk-build a throwaway tree over the queries
+// and classify query subtrees against index subtrees wholesale, exactly
+// like the self-join but crediting one-directionally. All three bundled
+// trees implement it; join.CrossMultiRadiusCounts falls back to batched
+// per-query probes for any other backend, and both paths return
 // identical results.
 type CrossCounter[T any] interface {
 	// CountCrossMulti returns counts[e][i] = the number of indexed
@@ -129,6 +139,24 @@ type CrossCounter[T any] interface {
 	// sorted ascending. Counts are exact (no gating) and identical for
 	// every worker count (≤ 0 means all cores, 1 means serial).
 	CountCrossMulti(queries []T, radii []float64, workers int) [][]int
+}
+
+// CappedCounter is the optional clipped-counting extension behind the
+// staged Step II (join.SelfClippedCounts): counts that stop at a limit.
+// A count below its limit is the exact count, so a caller that only
+// needs to know whether a count reaches a limit, or its value when it
+// does not, can let the traversal stop once it gets there.
+type CappedCounter[T any] interface {
+	// RangeCountCapped returns min(RangeCount(q, r), limit); a limit ≤ 0
+	// gives 0 without a traversal.
+	RangeCountCapped(q T, r float64, limit int) int
+	// CountAllCapped sets dst[id] = min(the number of indexed elements
+	// within r of element id (inclusive, so ≥ 1), limits[id]) for every
+	// indexed element id whose limit is positive, and leaves the other
+	// slots of dst as they are. limits and dst have one slot per indexed
+	// element, in id order. Results are identical for every worker
+	// count (≤ 0 means all cores, 1 means serial).
+	CountAllCapped(r float64, limits, dst []int, workers int)
 }
 
 // KNNer is the optional k-nearest-neighbor extension. The slim-tree and
@@ -187,6 +215,19 @@ func RangeCountMultiAppend[T any](t Index[T], q T, radii []float64, dst []int) [
 		return mc.RangeCountMultiAppend(q, radii, dst)
 	}
 	return append(dst, RangeCountMulti(t, q, radii)...)
+}
+
+// RangeCountCapped dispatches to the index's native capped counter when
+// it has one, and otherwise returns min(RangeCount(q, r), limit). A
+// limit ≤ 0 gives 0 without probing.
+func RangeCountCapped[T any](t Index[T], q T, r float64, limit int) int {
+	if limit <= 0 {
+		return 0
+	}
+	if cc, ok := t.(CappedCounter[T]); ok {
+		return cc.RangeCountCapped(q, r, limit)
+	}
+	return min(t.RangeCount(q, r), limit)
 }
 
 // RangeQueryAppend dispatches to the index's buffer-reusing range query

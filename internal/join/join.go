@@ -16,12 +16,16 @@
 // walks the schedule in adaptive chunks — one traversal per chunk over
 // the still-relevant radius suffix — and stops once its count exceeds the
 // cap. When the query set is the indexed set itself and the index can
-// join itself (index.SelfMultiCounter), Step II's counts instead come
-// from dual-tree joins in stages (SelfMultiRadiusCounts): one traversal
-// of the index against itself over the radii up to a split radius read
-// off a sample, then one cross-set count join (index.CrossCounter) per
-// later radius for only the points not yet excused, so the
-// sparse-focused principle holds for the dual joins too. When the query
+// join itself (index.SelfMultiCounter), Step II's counts instead come in
+// stages (SelfClippedCounts): one dual-tree traversal of the index
+// against itself over the radii up to a split radius read off a sample,
+// then, per later radius, one capped count (index.CappedCounter) of only
+// the points not yet excused, each stopping at its own limit. Step II
+// reads a count above the cap only through "above the cap" and one
+// slope test, so that count is clipped (ClipCounts) without changing a
+// plateau, and the capped counts need only reach the clip. The stages
+// fall back to per-item capped probes, so staging needs no capability
+// beyond the self-join. When the query
 // set is a second, disjoint set and the index can join it
 // (index.CrossMultiCounter), the Step IV bridge search comes from ONE
 // dual-tree traversal against a throwaway tree over the queries.
@@ -33,6 +37,7 @@
 package join
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -218,36 +223,44 @@ func MultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap 
 // SelfMultiRadiusCounts is MultiRadiusCounts for the tree's OWN elements:
 // items must be exactly the indexed elements in insertion order. It
 // returns the matrix that one CountAllMulti over the whole schedule
-// followed by GateCounts returns, computed the cheapest way the index
-// allows. An index that is not an index.SelfMultiCounter falls back to
-// the gated per-item batched probes.
-//
-// Under the sparse-focused principle a count above cap excuses its item:
-// its counts at larger radii are never used (GateCounts carries the
-// excusing count forward instead). Most items are excused well before
-// the last probed radius — on the HTTP scene at 22,202 points, 77%
-// exceed the cap at r₉ and all but 124 by r₁₀, while the dual join
-// spends over half of its time on r₁₀ and beyond. So when the index is
-// also an index.CrossCounter the counts come in stages: CountAllMulti
-// over radii[:k], then for each later probed radius one cross join of
-// the items still at or below the cap (the survivors) against the
-// index. The split index k is the radius after the first one at which
-// at least half of an evenly strided sample exceeds the cap, decided
-// with single-radius probes of the sample: the second-to-last probed
-// radius first, and a binary search below it only when half the sample
-// exceeds the cap there. When k would reach the last probed radius, or
-// the index has no CrossCounter, CountAllMulti runs over the whole
-// schedule as one traversal.
+// followed by GateCounts returns: SelfClippedCounts with no clip.
 func SelfMultiRadiusCounts[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int) [][]int {
+	return SelfClippedCounts(t, items, radii, cap, math.Inf(1), lastIsDiameter, workers)
+}
+
+// SelfClippedCounts is Step II's count matrix for the tree's OWN
+// elements (items must be exactly the indexed elements in insertion
+// order), for plateau slope b: the matrix one CountAllMulti over the
+// whole schedule followed by GateCounts and then ClipCounts returns,
+// computed the cheapest way the index allows. An index that is not an
+// index.SelfMultiCounter falls back to the gated per-item batched
+// probes, then the clip.
+//
+// Under the sparse-focused principle a count above cap excuses its item,
+// and the plateaus read that first excusing count only through "> cap"
+// and one slope test, so it may be clipped (ClipCounts). Most items are
+// excused well before the last probed radius — on the HTTP scene at
+// 22,202 points, 77% exceed the cap at r₉ and all but 124 by r₁₀, while
+// the dual join spends most of its time on its top radius. So the
+// counts come in stages: CountAllMulti over radii[:k], then for each
+// later probed radius one capped count (index.CappedCounter) of the
+// items still at or below the cap (the survivors), each clipped at its
+// own limit. The split index k is read off an evenly strided sample
+// with single-radius probes (splitIndex); when fewer than two probed
+// radii would be staged, CountAllMulti runs over the whole schedule as
+// one traversal.
+func SelfClippedCounts[T any](t index.Index[T], items []T, radii []float64, cap int, b float64, lastIsDiameter bool, workers int) [][]int {
 	if _, ok := t.(index.SelfMultiCounter); !ok || t.Size() != len(items) {
-		return MultiRadiusCounts(t, items, radii, cap, lastIsDiameter, workers)
+		q := MultiRadiusCounts(t, items, radii, cap, lastIsDiameter, workers)
+		ClipCounts(q, cap, b, lastIsDiameter, workers)
+		return q
 	}
-	k := splitIndex(t, items, radii, cap, lastIsDiameter, workers)
-	return stagedCounts(t, items, radii, cap, lastIsDiameter, workers, k)
+	k := splitIndex(t, items, radii, cap, b, lastIsDiameter, workers)
+	return stagedCounts(t, items, radii, cap, b, lastIsDiameter, workers, k)
 }
 
 // splitSample is how many evenly strided points the split decision of
-// SelfMultiRadiusCounts counts.
+// SelfClippedCounts counts.
 const splitSample = 32
 
 // probedRadii is how many leading radii of an a-radius schedule the
@@ -260,93 +273,211 @@ func probedRadii(a int, lastIsDiameter bool) int {
 	return a
 }
 
-// splitIndex is SelfMultiRadiusCounts' choice of k; it returns
-// probedRadii(...) to mean one traversal, without staging.
-func splitIndex[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int) int {
+// splitIndex is SelfClippedCounts' choice of k; it returns
+// probedRadii(...) to mean one traversal, without staging. Let e* be
+// the first probed radius at which at least an eighth of the sample
+// exceeds cap, found by a binary search over single-radius probes of
+// the sample. The stages start at e* when the sample's clipped count
+// mass there — what the survivors would count, each up to its clip
+// limit — is at most half its full mass, what the self-join would
+// count for the whole sample; otherwise they start one radius later.
+// Fewer than two staged radii never pay for the stage, so then the
+// self-join runs over the whole schedule.
+func splitIndex[T any](t index.Index[T], items []T, radii []float64, cap int, b float64, lastIsDiameter bool, workers int) int {
 	probeHi := probedRadii(len(radii), lastIsDiameter)
-	if _, ok := t.(index.CrossCounter[T]); !ok || probeHi < 3 {
-		return probeHi // staging needs a CrossCounter and 1 ≤ k < probeHi-1
+	if probeHi < 2 || len(items) == 0 {
+		return probeHi
 	}
 	m := min(splitSample, len(items))
+	sample := func(j int) T { return items[j*len(items)/m] }
 	above := make([]bool, m)
-	// halfAbove reports whether at least half the sample counts more
-	// than cap neighbors within radii[e].
-	halfAbove := func(e int) bool {
+	// eighthAbove reports whether at least an eighth of the sample counts
+	// more than cap neighbors within radii[e].
+	eighthAbove := func(e int) bool {
 		parallel.For(workers, m, func(j int) {
-			above[j] = t.RangeCount(items[j*len(items)/m], radii[e]) > cap
+			above[j] = t.RangeCount(sample(j), radii[e]) > cap
 		})
 		hits := 0
-		for _, b := range above {
-			if b {
+		for _, a := range above {
+			if a {
 				hits++
 			}
 		}
-		return 2*hits >= m
+		return 8*hits >= m
 	}
 	hi := probeHi - 2
-	if !halfAbove(hi) {
+	if !eighthAbove(hi) {
 		return probeHi
 	}
 	lo := 0
 	for lo < hi {
-		if mid := (lo + hi) / 2; halfAbove(mid) {
+		if mid := (lo + hi) / 2; eighthAbove(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if k := hi + 1; k < probeHi-1 {
-		return k
+	k := hi + 1
+	if clippedHalf(t, sample, m, radii, hi, cap, b) {
+		k = hi
 	}
-	return probeHi
+	if probeHi-k < 2 {
+		return probeHi
+	}
+	return k
 }
 
-// stagedCounts is SelfMultiRadiusCounts at a given split index k ≥ 1
-// over an index that is a SelfMultiCounter; k at or beyond the probed
-// radii runs CountAllMulti over the whole schedule, and k below them
-// needs an index.CrossCounter too.
-func stagedCounts[T any](t index.Index[T], items []T, radii []float64, cap int, lastIsDiameter bool, workers int, k int) [][]int {
+// clippedHalf reports whether the sample's clipped count mass at
+// radii[e] is at most half its full mass: the full mass sums every
+// sample point's count there, the clipped mass only the points still
+// at or below cap before e, each clipped at its limit.
+func clippedHalf[T any](t index.Index[T], sample func(int) T, m int, radii []float64, e, cap int, b float64) bool {
+	factor := clipFactor(b)
+	from := max(e-1, 0)
+	var buf []int
+	full, clipped := 0, 0
+	for j := 0; j < m; j++ {
+		buf = index.RangeCountMultiAppend(t, sample(j), radii[from:e+1], buf[:0])
+		c, prev := buf[len(buf)-1], 0
+		if e > 0 {
+			prev = buf[0]
+		}
+		full += c
+		if prev <= cap {
+			clipped += min(c, clipLimit(prev, cap, factor))
+		}
+	}
+	return 2*clipped <= full
+}
+
+// stagedCounts is SelfClippedCounts at a given split index k ≥ 0 over
+// an index that is a SelfMultiCounter; k at or beyond the probed radii
+// runs CountAllMulti over the whole schedule.
+func stagedCounts[T any](t index.Index[T], items []T, radii []float64, cap int, b float64, lastIsDiameter bool, workers int, k int) [][]int {
 	n := len(items)
 	probeHi := probedRadii(len(radii), lastIsDiameter)
 	smc := t.(index.SelfMultiCounter)
 	if k >= probeHi {
 		q := smc.CountAllMulti(radii, workers)
 		GateCounts(q, n, cap, lastIsDiameter, workers)
+		ClipCounts(q, cap, b, lastIsDiameter, workers)
 		return q
 	}
-	q := smc.CountAllMulti(radii[:k], workers)
+	var q [][]int
+	if k > 0 {
+		q = smc.CountAllMulti(radii[:k], workers)
+	}
 	for range radii[k:] {
 		q = append(q, make([]int, n))
 	}
-	var survivors []int
-	for i, c := range q[k-1] {
-		if c <= cap {
-			survivors = append(survivors, i)
-		}
-	}
-	// Rows from k on hold the survivors' true counts; everyone else's
-	// stay 0 until GateCounts carries their excusing count into them.
-	cc := t.(index.CrossCounter[T])
-	sub := make([]T, 0, len(survivors))
-	for e := k; e < probeHi && len(survivors) > 0; e++ {
-		sub = sub[:0]
-		for _, i := range survivors {
-			sub = append(sub, items[i])
-		}
-		row := q[e]
-		for j, c := range cc.CountCrossMulti(sub, radii[e:e+1], workers)[0] {
-			row[survivors[j]] = c
-		}
-		kept := survivors[:0]
-		for _, i := range survivors {
-			if row[i] <= cap {
-				kept = append(kept, i)
+	// Each staged row holds the survivors' counts, each clipped at its
+	// limit, and carries every excused item's count forward: a count
+	// below its limit is exact, and one that reaches it is above cap,
+	// so the row is exactly the gated and clipped one.
+	factor := clipFactor(b)
+	limits := make([]int, n)
+	for e := k; e < probeHi; e++ {
+		row, open := q[e], false
+		for i := range limits {
+			prev := 0
+			if e > 0 {
+				prev = q[e-1][i]
 			}
+			if prev > cap {
+				row[i], limits[i] = prev, 0
+				continue
+			}
+			limits[i], open = clipLimit(prev, cap, factor), true
 		}
-		survivors = kept
+		if open {
+			CountAllCapped(t, items, radii[e], limits, row, workers)
+		}
 	}
 	GateCounts(q, n, cap, lastIsDiameter, workers)
+	ClipCounts(q, cap, b, lastIsDiameter, workers)
 	return q
+}
+
+// CountAllCapped is index.CappedCounter's CountAllCapped for any index
+// over items, the indexed elements in id order: native where the index
+// has it, per-item capped probes otherwise.
+func CountAllCapped[T any](t index.Index[T], items []T, r float64, limits, dst []int, workers int) {
+	if cc, ok := t.(index.CappedCounter[T]); ok {
+		cc.CountAllCapped(r, limits, dst, workers)
+		return
+	}
+	parallel.For(workers, len(items), func(i int) {
+		if limits[i] > 0 {
+			dst[i] = index.RangeCountCapped(t, items[i], r, limits[i])
+		}
+	})
+}
+
+// clipDelta is the margin δ of the clip limit: far above math.Log2's
+// rounding error, so a clipped count's slope test needs no monotonicity
+// of the floating-point logarithm to come out the same.
+const clipDelta = 1e-6
+
+// clipFactor is 2^(b+δ), the growth a count must exceed to break a
+// plateau of slope b with margin δ.
+func clipFactor(b float64) float64 { return math.Exp2(b + clipDelta) }
+
+// clipLimit is the limit U = max(cap+1, ⌈prev·factor⌉) of a count that
+// follows a count prev ≤ cap (prev = 0 at the first radius), for
+// factor = clipFactor(b); math.MaxInt when U would not fit, which never
+// clips, and always for an infinite b, which clips nothing. Clipping a
+// count above cap at U keeps it above cap, and keeps its slope test
+// against prev failing (U ≥ prev·2^(b+δ)) exactly when the unclipped
+// count's did.
+func clipLimit(prev, cap int, factor float64) int {
+	if math.IsInf(factor, 1) {
+		return math.MaxInt
+	}
+	u := cap + 1
+	if prev > 0 {
+		f := math.Ceil(float64(prev) * factor)
+		if !(f < 1<<53) {
+			return math.MaxInt
+		}
+		u = max(u, int(f))
+	}
+	return u
+}
+
+// ClipCounts rewrites a gated count matrix (GateCounts' output) in
+// place into the clipped one: each item's first count above cap at a
+// probed radius e, and the copies GateCounts carried forward from it,
+// are clipped to U = max(cap+1, ⌈q[e−1]·2^(b+δ)⌉) (U = cap+1 when e is
+// the first radius). The plateaus (Def. 1) read that count only through
+// "> cap" and the slope test against q[e−1], both of which U keeps, so
+// OracleX and OracleY are unchanged (Defs. 2 and 3 read no plateau
+// higher than cap, and the pinned diameter row only ever follows one).
+// It is the one definition of the clip for every producer of Step II's
+// counts; b = +Inf clips nothing.
+func ClipCounts(q [][]int, cap int, b float64, lastIsDiameter bool, workers int) {
+	if len(q) == 0 {
+		return
+	}
+	probeHi := probedRadii(len(q), lastIsDiameter)
+	factor := clipFactor(b)
+	parallel.For(workers, len(q[0]), func(i int) {
+		for e := 0; e < probeHi; e++ {
+			c := q[e][i]
+			if c <= cap {
+				continue
+			}
+			prev := 0
+			if e > 0 {
+				prev = q[e-1][i]
+			}
+			if u := clipLimit(prev, cap, factor); c > u {
+				for f := e; f < probeHi; f++ {
+					q[f][i] = u
+				}
+			}
+			return
+		}
+	})
 }
 
 // GateCounts rewrites a matrix of TRUE counts q[e][i] in place into the

@@ -15,19 +15,34 @@ import (
 	"mccatch/internal/slimtree"
 )
 
-// The staged Step II (SelfMultiRadiusCounts) must return exactly the
-// matrix one CountAllMulti over the whole schedule followed by
-// GateCounts gives, at EVERY split index, not just the one the sample
+// The staged Step II (SelfClippedCounts) must return exactly the matrix
+// one CountAllMulti over the whole schedule followed by GateCounts and
+// ClipCounts gives, at EVERY split index, not just the one the sample
 // decision picks. These tests force every k through the unexported
 // stagedCounts.
 
-// gatedReference is the one-traversal Step II: true counts at every
-// radius, then the gating rule.
+// gatedReference is the one-traversal unclipped Step II: true counts at
+// every radius, then the gating rule.
 func gatedReference(smc index.SelfMultiCounter, n int, radii []float64, cap int, lastIsDiameter bool) [][]int {
 	q := smc.CountAllMulti(radii, 1)
 	GateCounts(q, n, cap, lastIsDiameter, 1)
 	return q
 }
+
+// clippedReference is gatedReference followed by the clip for slope b;
+// for b = +Inf, which clips nothing, it is gatedReference alone, so the
+// unclipped checks never go through ClipCounts.
+func clippedReference(smc index.SelfMultiCounter, n int, radii []float64, cap int, b float64, lastIsDiameter bool) [][]int {
+	q := gatedReference(smc, n, radii, cap, lastIsDiameter)
+	if !math.IsInf(b, 1) {
+		ClipCounts(q, cap, b, lastIsDiameter, 1)
+	}
+	return q
+}
+
+// stagedSlopes are the slopes b the staged checks clip with: the
+// strict plateau, the default, two loose ones and no clip at all.
+var stagedSlopes = []float64{0, 0.1, 1, 5, math.Inf(1)}
 
 // halvingRadii is the pipeline's schedule shape: a radii halving down
 // from l.
@@ -63,23 +78,26 @@ func clusteredPoints(rng *rand.Rand, n, dim int) [][]float64 {
 	return pts
 }
 
-// checkEverySplit runs stagedCounts at every k from 1 to one past the
-// last probed radius (the one-traversal fallback) for every cap, both
-// lastIsDiameter settings and workers 1, 2 and 8, against the
-// one-traversal reference over the same index.
+// checkEverySplit runs stagedCounts at every k from 0 (no self-join) to
+// one past the last probed radius (the one-traversal fallback) for
+// every cap, every slope of stagedSlopes, both lastIsDiameter settings
+// and workers 1, 2 and 8, against the one-traversal reference over the
+// same index.
 func checkEverySplit[T any](t *testing.T, label string, items []T, tr index.Index[T], radii []float64, caps []int) {
 	t.Helper()
 	n := len(items)
 	for _, cap := range caps {
-		for _, lastIsDiameter := range []bool{true, false} {
-			want := gatedReference(tr.(index.SelfMultiCounter), n, radii, cap, lastIsDiameter)
-			probeHi := probedRadii(len(radii), lastIsDiameter)
-			for _, workers := range []int{1, 2, 8} {
-				for k := 1; k <= probeHi; k++ {
-					got := stagedCounts(tr, items, radii, cap, lastIsDiameter, workers, k)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: cap=%d lastIsDiameter=%v workers=%d k=%d: staged counts differ from CountAllMulti+GateCounts\ngot:  %v\nwant: %v",
-							label, cap, lastIsDiameter, workers, k, got, want)
+		for _, b := range stagedSlopes {
+			for _, lastIsDiameter := range []bool{true, false} {
+				want := clippedReference(tr.(index.SelfMultiCounter), n, radii, cap, b, lastIsDiameter)
+				probeHi := probedRadii(len(radii), lastIsDiameter)
+				for _, workers := range []int{1, 2, 8} {
+					for k := 0; k <= probeHi; k++ {
+						got := stagedCounts(tr, items, radii, cap, b, lastIsDiameter, workers, k)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: cap=%d b=%v lastIsDiameter=%v workers=%d k=%d: staged counts differ from CountAllMulti+GateCounts+ClipCounts\ngot:  %v\nwant: %v",
+								label, cap, b, lastIsDiameter, workers, k, got, want)
+						}
 					}
 				}
 			}
@@ -112,8 +130,35 @@ func TestStagedCountsEverySplitStrings(t *testing.T) {
 	checkEverySplit[string](t, "strings/slimtree", words, tr, radii, []int{2, 13, len(words)})
 }
 
-// selfOnly exposes a backend's self-join but hides its CrossCounter, as
-// an index from a custom builder might.
+// TestStagedCountsCoincidentPoints pins both entries on coincident
+// points under caps small enough that counts exceed them at the first
+// radius, where a clip has no earlier count to grow from: the unclipped
+// SelfMultiRadiusCounts still returns the true r₀ count of 3 for each
+// of three coincident points, and every split agrees with the
+// references at every slope.
+func TestStagedCountsCoincidentPoints(t *testing.T) {
+	pts := [][]float64{{0, 0}, {0, 0}, {0, 0}, {5, 5}, {5, 5}, {1, 0}, {9, 3}, {2, 7}}
+	for name, tr := range map[string]index.Index[[]float64]{
+		"kdtree":   kdtree.New(pts),
+		"rtree":    rtree.New(pts, 0),
+		"slimtree": slimtree.New(metric.Euclidean, 0, pts),
+	} {
+		radii := halvingRadii(tr.DiameterEstimate(), 6)
+		for _, cap := range []int{0, 1, 2} {
+			want := gatedReference(tr.(index.SelfMultiCounter), len(pts), radii, cap, true)
+			for _, workers := range []int{1, 2} {
+				got := SelfMultiRadiusCounts(tr, pts, radii, cap, true, workers)
+				if got[0][0] != 3 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: cap=%d workers=%d: SelfMultiRadiusCounts r₀ count %d (want 3), matrix %v, want %v", name, cap, workers, got[0][0], got, want)
+				}
+			}
+		}
+		checkEverySplit(t, "coincident/"+name, pts, tr, radii, []int{0, 1, 2})
+	}
+}
+
+// selfOnly exposes a backend's self-join but hides its CrossCounter and
+// CappedCounter, as an index from a custom builder might.
 type selfOnly struct{ noCross }
 
 func (s selfOnly) CountAllMulti(radii []float64, workers int) [][]int {
@@ -121,27 +166,36 @@ func (s selfOnly) CountAllMulti(radii []float64, workers int) [][]int {
 }
 
 // TestStagedCountsWithoutCrossCounter pins the fallback: an index with a
-// self-join but no native CrossCounter never stages, and still returns
-// the reference counts through both entry points.
+// self-join but neither a native CrossCounter nor a CappedCounter
+// stages like a bundled tree, counting the survivors with per-item
+// capped probes, and returns the reference counts through both entry
+// points.
 func TestStagedCountsWithoutCrossCounter(t *testing.T) {
 	d := data.HTTPLike(0.001, 1)
 	tr := rtree.New(d.Points, 0)
 	hidden := selfOnly{noCross{tr}}
 	radii := halvingRadii(tr.DiameterEstimate(), 15)
 	cap := int(math.Ceil(0.1 * float64(len(d.Points))))
-	if k := splitIndex[[]float64](tr, d.Points, radii, cap, true, 1); k >= probedRadii(len(radii), true) {
+	k := splitIndex[[]float64](tr, d.Points, radii, cap, 0.1, true, 1)
+	if k >= probedRadii(len(radii), true) {
 		t.Fatalf("the native R-tree should stage on this data (k=%d), or the fallback below tests nothing", k)
 	}
-	if k := splitIndex[[]float64](hidden, d.Points, radii, cap, true, 1); k != probedRadii(len(radii), true) {
-		t.Fatalf("an index without CrossCounter got split index %d, want the one-traversal %d", k, probedRadii(len(radii), true))
+	if got := splitIndex[[]float64](hidden, d.Points, radii, cap, 0.1, true, 1); got != k {
+		t.Fatalf("an index without CrossCounter got split index %d, the R-tree %d", got, k)
 	}
-	want := gatedReference(tr, len(d.Points), radii, cap, true)
+	unclipped := gatedReference(tr, len(d.Points), radii, cap, true)
+	clipped := clippedReference(tr, len(d.Points), radii, cap, 0.1, true)
 	for _, workers := range []int{1, 2, 8} {
-		if got := SelfMultiRadiusCounts[[]float64](hidden, d.Points, radii, cap, true, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: SelfMultiRadiusCounts without CrossCounter differs from the reference", workers)
-		}
-		if got := SelfMultiRadiusCounts[[]float64](tr, d.Points, radii, cap, true, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: staged SelfMultiRadiusCounts differs from the reference", workers)
+		for _, ix := range []struct {
+			name string
+			tr   index.Index[[]float64]
+		}{{"SelfMultiRadiusCounts without CrossCounter", hidden}, {"staged SelfMultiRadiusCounts", tr}} {
+			if got := SelfMultiRadiusCounts(ix.tr, d.Points, radii, cap, true, workers); !reflect.DeepEqual(got, unclipped) {
+				t.Fatalf("workers=%d: %s differs from CountAllMulti+GateCounts", workers, ix.name)
+			}
+			if got := SelfClippedCounts(ix.tr, d.Points, radii, cap, 0.1, true, workers); !reflect.DeepEqual(got, clipped) {
+				t.Fatalf("workers=%d: %s clipped at b = 0.1 differs from CountAllMulti+GateCounts+ClipCounts", workers, ix.name)
+			}
 		}
 	}
 }
@@ -160,7 +214,8 @@ func countingSlim[T any](dist metric.Distance[T], items []T) (*slimtree.Tree[T],
 
 // stepIIEvaluations returns the metric evaluations of one serial
 // CountAllMulti over the pipeline's default schedule, of one serial
-// SelfMultiRadiusCounts over it, and of the split decision alone.
+// SelfClippedCounts over it at the default slope, and of the split
+// decision alone.
 func stepIIEvaluations[T any](dist metric.Distance[T], items []T) (full, staged, decision int64, k, probeHi int) {
 	tr, calls := countingSlim(dist, items)
 	radii := halvingRadii(tr.DiameterEstimate(), 15)
@@ -168,18 +223,18 @@ func stepIIEvaluations[T any](dist metric.Distance[T], items []T) (full, staged,
 	calls.Store(0)
 	tr.CountAllMulti(radii, 1)
 	full = calls.Swap(0)
-	SelfMultiRadiusCounts[T](tr, items, radii, cap, true, 1)
+	SelfClippedCounts[T](tr, items, radii, cap, 0.1, true, 1)
 	staged = calls.Swap(0)
-	k = splitIndex[T](tr, items, radii, cap, true, 1)
+	k = splitIndex[T](tr, items, radii, cap, 0.1, true, 1)
 	decision = calls.Swap(0)
 	return full, staged, decision, k, probedRadii(len(radii), true)
 }
 
 // TestStagedCountsEvaluations pins the staging's work in metric
 // evaluations, which repeat exactly on any hardware: on the HTTP scene
-// it stages and saves evaluations; on Last Names no half of the sample
-// is excused before the last probed radius, so it adds exactly the
-// decision's probes to one CountAllMulti, within 5%.
+// it stages and saves evaluations; on Last Names no eighth of the
+// sample is excused before the second-to-last probed radius, so it adds
+// exactly the decision's probes to one CountAllMulti, within 5%.
 func TestStagedCountsEvaluations(t *testing.T) {
 	full, staged, _, k, probeHi := stepIIEvaluations(metric.Euclidean, data.HTTPLike(0.02, 1).Points)
 	if k >= probeHi {

@@ -218,10 +218,22 @@ func (t *Tree) RangeCount(q []float64, r float64) int {
 	if t.size == 0 {
 		return 0
 	}
-	return t.rangeCount(0, q, r*r)
+	return t.rangeCount(0, q, r*r, math.MaxInt)
 }
 
-func (t *Tree) rangeCount(p int32, q []float64, r2 float64) int {
+// RangeCountCapped returns min(RangeCount(q, r), limit): the same
+// traversal, stopping once the count reaches the limit.
+func (t *Tree) RangeCountCapped(q []float64, r float64, limit int) int {
+	if t.size == 0 || limit <= 0 {
+		return 0
+	}
+	return min(t.rangeCount(0, q, r*r, limit), limit)
+}
+
+// rangeCount counts the points within √r2 of q under slot p; it may stop
+// descending once the count reaches limit, so a result below limit is
+// exact.
+func (t *Tree) rangeCount(p int32, q []float64, r2 float64, limit int) int {
 	lo, hi := t.box(p)
 	smin, smax := sqMinMaxDistToBox(q, lo, hi)
 	if smin > r2 {
@@ -239,11 +251,11 @@ func (t *Tree) rangeCount(p int32, q []float64, r2 float64) int {
 	if kernel.SqDist(q, t.point(p)) <= r2 {
 		count++
 	}
-	if l := t.left[p]; l >= 0 {
-		count += t.rangeCount(l, q, r2)
+	if l := t.left[p]; l >= 0 && count < limit {
+		count += t.rangeCount(l, q, r2, limit-count)
 	}
-	if r := t.right[p]; r >= 0 {
-		count += t.rangeCount(r, q, r2)
+	if r := t.right[p]; r >= 0 && count < limit {
+		count += t.rangeCount(r, q, r2, limit-count)
 	}
 	return count
 }

@@ -60,3 +60,23 @@ func SqBoxDiag(lo, hi []float64) float64 {
 	}
 	return s
 }
+
+// SqFarBoxBox returns a lower bound on SqMinMaxPointBox's maximum for
+// every point of the box [blo, bhi] against the box [alo, ahi]: per
+// axis, a point v of [blo, bhi] is at least blo-alo above alo and at
+// least ahi-bhi below ahi, so its farther-end distance is at least the
+// larger of the two. It uses only box corners, and rounding is
+// monotone, so the bound holds for the computed values too.
+func SqFarBoxBox(alo, ahi, blo, bhi []float64) float64 {
+	s := 0.0
+	for j := range alo {
+		far := blo[j] - alo[j]
+		if f := ahi[j] - bhi[j]; f > far {
+			far = f
+		}
+		if far > 0 {
+			s += far * far
+		}
+	}
+	return s
+}

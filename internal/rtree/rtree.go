@@ -326,10 +326,22 @@ func (t *Tree) RangeCount(q []float64, r float64) int {
 	if t.sizeN == 0 {
 		return 0
 	}
-	return t.rangeCount(0, q, r*r)
+	return t.rangeCount(0, q, r*r, math.MaxInt)
 }
 
-func (t *Tree) rangeCount(s int32, q []float64, r2 float64) int {
+// RangeCountCapped returns min(RangeCount(q, r), limit): the same
+// traversal, stopping once the count reaches the limit.
+func (t *Tree) RangeCountCapped(q []float64, r float64, limit int) int {
+	if t.sizeN == 0 || limit <= 0 {
+		return 0
+	}
+	return min(t.rangeCount(0, q, r*r, limit), limit)
+}
+
+// rangeCount counts the points within √r2 of q under node s; it may stop
+// descending once the count reaches limit, so a result below limit is
+// exact.
+func (t *Tree) rangeCount(s int32, q []float64, r2 float64, limit int) int {
 	smin, smax := t.sqMinMaxDist(s, q)
 	if smin > r2 {
 		return 0
@@ -343,8 +355,8 @@ func (t *Tree) rangeCount(s int32, q []float64, r2 float64) int {
 		return kernel.CountRange(t.sum, q, t.pts, int(t.elemFirst[s]), int(t.elemLast[s]), r2)
 	}
 	count := 0
-	for c := t.childFirst[s]; c < t.childLast[s]; c++ {
-		count += t.rangeCount(c, q, r2)
+	for c := t.childFirst[s]; c < t.childLast[s] && count < limit; c++ {
+		count += t.rangeCount(c, q, r2, limit-count)
 	}
 	return count
 }

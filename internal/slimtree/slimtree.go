@@ -213,7 +213,19 @@ func (t *Tree[T]) assignElems(n int32) {
 // RangeCount returns the number of indexed elements within distance r of q
 // (inclusive).
 func (t *Tree[T]) RangeCount(q T, r float64) int {
-	if t.size == 0 {
+	return t.rangeCount(q, r, math.MaxInt)
+}
+
+// RangeCountCapped returns min(RangeCount(q, r), limit): the same
+// traversal, stopping once the count reaches the limit.
+func (t *Tree[T]) RangeCountCapped(q T, r float64, limit int) int {
+	return min(t.rangeCount(q, r, limit), limit)
+}
+
+// rangeCount counts the elements within r of q, stopping once the count
+// reaches limit, so a result below limit is exact.
+func (t *Tree[T]) rangeCount(q T, r float64, limit int) int {
+	if t.size == 0 || limit <= 0 {
 		return 0
 	}
 	v := visitState[T]{t: t, qc: t.queryCoords(q)}
@@ -222,7 +234,7 @@ func (t *Tree[T]) RangeCount(q T, r float64) int {
 		pat.Reset(any(q).(string))
 		v.pat = &pat
 	}
-	count := v.rangeVisit(0, q, r, math.NaN(), nil)
+	count := v.rangeVisit(0, q, r, math.NaN(), limit, nil)
 	t.distCalls.Add(v.calls)
 	return count
 }
@@ -246,7 +258,7 @@ func (t *Tree[T]) RangeQueryAppend(q T, r float64, dst []int) []int {
 		pat.Reset(any(q).(string))
 		v.pat = &pat
 	}
-	v.rangeVisit(0, q, r, math.NaN(), &dst)
+	v.rangeVisit(0, q, r, math.NaN(), math.MaxInt, &dst)
 	t.distCalls.Add(v.calls)
 	return dst
 }
@@ -386,14 +398,17 @@ func (v *visitState[T]) multiVisit(n int32, q T, radii []float64, dq float64, lo
 // without being descended — the paper's count-only principle, which makes
 // large-radius counting cost proportional to the ball boundary rather than
 // the ball volume.
-func (v *visitState[T]) rangeVisit(n int32, q T, r float64, dq float64, ids *[]int) int {
+//
+// The visit stops taking entries once the count reaches limit, so a
+// count below limit is exact; collecting callers pass math.MaxInt.
+func (v *visitState[T]) rangeVisit(n int32, q T, r float64, dq float64, limit int, ids *[]int) int {
 	t := v.t
 	isLeaf := t.leaf[n]
 	if isLeaf && v.qc != nil {
 		return v.scanRangeLeaf(n, r, dq, ids)
 	}
 	count := 0
-	for k := t.entFirst[n]; k < t.entLast[n]; k++ {
+	for k := t.entFirst[n]; k < t.entLast[n] && count < limit; k++ {
 		rad := t.eRD[2*k]
 		// Triangle prefilter: |d(q,parent) - d(pivot,parent)| ≤ d(q,pivot).
 		if !math.IsNaN(dq) && math.Abs(dq-t.eRD[2*k+1]) > r+rad {
@@ -414,7 +429,7 @@ func (v *visitState[T]) rangeVisit(n int32, q T, r float64, dq float64, ids *[]i
 			continue
 		}
 		if d <= r+rad {
-			count += v.rangeVisit(t.eChild[k], q, r, d, ids)
+			count += v.rangeVisit(t.eChild[k], q, r, d, limit-count, ids)
 		}
 	}
 	return count
